@@ -427,7 +427,7 @@ impl ResilienceOptions {
     /// The conventional journal location for a named sweep:
     /// `target/grid/<sweep>.jsonl` (overridable via `CMPSIM_GRID_DIR`).
     pub fn default_journal_path(sweep: &str) -> PathBuf {
-        journal::default_journal_dir().join(format!("{sweep}.jsonl"))
+        svc_metrics::artifact_dir("CMPSIM_GRID_DIR", "grid").join(format!("{sweep}.jsonl"))
     }
 }
 

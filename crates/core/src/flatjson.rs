@@ -1,14 +1,15 @@
-//! Flat-JSON record framing shared by the checkpoint journal and the
-//! content-addressed result store (and by the `serve` daemon's request
-//! parser).
+//! Flat-JSON record framing: the encoder-side [`seal`], the reader-side
+//! [`unseal`], and the one parser ([`parse_flat`]) shared by the sealed
+//! log ([`seallog`](crate::seallog)) and the `serve` daemon's request
+//! parser.
 //!
-//! Both on-disk formats are append-only JSONL files of *flat* objects —
-//! string and `u64` values only, no nesting, no escapes, no floats
-//! (`f64`s travel as IEEE-754 bit patterns under `.bits` keys) — so one
-//! hand-rolled parser covers every consumer and the workspace stays
-//! serde-free. Records are sealed with a trailing FNV-1a-32 checksum
-//! ([`seal`]/[`check_seal`]) so in-place corruption is *detected* and the
-//! record skipped, never silently decoded into wrong numbers.
+//! A record is a *flat* object: string and `u64` values only, no
+//! nesting, no escapes, no floats (`f64`s travel as IEEE-754 bit
+//! patterns under `.bits` keys), so one hand-rolled parser covers every
+//! consumer and the workspace stays serde-free. A sealed record ends
+//! with a `crc` field, FNV-1a-32 over every byte before it, so in-place
+//! corruption is *detected* and the record skipped, never silently
+//! decoded into wrong numbers.
 
 /// The two value shapes the framing emits.
 #[derive(Debug, Clone, PartialEq)]
@@ -74,6 +75,19 @@ pub fn check_seal(line: &str) -> Result<&str, String> {
         return Err(format!("crc mismatch (recorded {recorded:08x}, computed {actual:08x})"));
     }
     Ok(&line[..pos])
+}
+
+/// Verifies a sealed line ([`check_seal`]) and parses its fields,
+/// without the `crc` field itself.
+///
+/// # Errors
+///
+/// Describes a failed seal or a body that does not parse.
+pub fn unseal(line: &str) -> Result<Vec<(String, JsonVal)>, String> {
+    check_seal(line)?;
+    let mut fields = parse_flat(line).ok_or_else(|| "malformed record".to_string())?;
+    fields.pop(); // the crc field check_seal just verified
+    Ok(fields)
 }
 
 /// Parses one flat JSON object of string/u64 values (the only shape the

@@ -1,6 +1,6 @@
 //! Bit-exact checkpoint journal for grid sweeps.
 //!
-//! `run_grid_resilient` appends one JSONL line per completed cell as it
+//! `run_grid_resilient` appends one record per completed cell as it
 //! finishes, so a run killed mid-sweep can be re-invoked with the same
 //! journal and skip the cells that already ran. The contract is
 //! **bit-identity**: a journaled [`RunResult`] decodes to exactly the
@@ -8,46 +8,42 @@
 //! value and the one `f64` field as its IEEE-754 bit pattern — so a
 //! resumed grid compares equal (`==`) to an uninterrupted one.
 //!
-//! File layout (hand-rolled flat JSON; this workspace has no serde):
+//! The journal is a [`seallog`](crate::seallog) log whose header names
+//! the format version and the sweep [`fingerprint`]; each record is one
+//! completed cell or one cell failure:
 //!
 //! ```text
-//! {"cmpsim_journal":3,"fingerprint":"1a2b3c..."}
+//! {"cmpsim_journal":4,"fingerprint":"1a2b3c..."}
 //! {"workload":"apsi","variant":"pf+compr","seed":11,"cycles":...,"crc":"9f1e22ab"}
 //! {"failure":"mgrid","variant":"base","seed":11,"error":"...","crc":"00c41f77"}
-//! ...
 //! ```
+//!
+//! [`Journal::load`] and [`Journal::append`] open the log as its writer,
+//! so the log's one repair rule applies: a journal of another sweep is
+//! rotated aside to `<path>.stale.<its fingerprint>` (resuming it would
+//! mix results of another configuration; deleting it would destroy that
+//! sweep's cells), and a torn tail is cut back so only the torn cell
+//! re-runs. A record that is not UTF-8, fails its seal or does not
+//! decode is skipped with its line number; only that cell re-runs.
 //!
 //! The fingerprint hashes the base [`SystemConfig`] and [`SimLength`] —
 //! deliberately *not* the workload or variant lists, so a journal from a
 //! partial sweep is reusable by a larger sweep over the same
-//! configuration. A journal whose fingerprint does not match is
-//! discarded (the sweep would silently mix incompatible results
-//! otherwise).
-//!
-//! Crash safety (v3):
-//!
-//! - Every record carries a trailing FNV-1a checksum (`"crc"`), so a
-//!   record corrupted in place is *detected* and skipped — with its line
-//!   number — rather than silently decoded into wrong numbers.
-//! - A torn tail (the process was killed mid-append, leaving a final
-//!   line with no `\n`) is physically truncated away on load; every
-//!   intact cell survives and only the torn one re-runs.
-//! - The header is created via tempfile + atomic rename, so no reader
-//!   can ever observe a half-written header.
-//! - Cell *failures* are journaled too; a cell that has failed
-//!   [`MAX_CELL_FAILURES`] times is quarantined — resume skips it with an
-//!   explicit error instead of re-running it forever.
+//! configuration. Cell *failures* are journaled too: a cell that has
+//! failed [`MAX_CELL_FAILURES`] times is quarantined, and resume skips
+//! it with an explicit error instead of re-running it forever.
 
 use crate::config::{PrefetchMode, SystemConfig, Variant};
 use crate::experiment::SimLength;
-use crate::flatjson::{check_seal, parse_flat, seal, JsonVal};
+use crate::flatjson::{self, JsonVal};
+use crate::seallog::{LogError, SealedLog};
 use crate::stats::{LevelStats, RunResult, SimStats};
 use cmpsim_harness::chaos::FaultPlan;
 use cmpsim_link::LinkBandwidth;
 use std::collections::HashMap;
-use std::fs;
-use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
+#[cfg(test)]
+use {crate::flatjson::check_seal, std::fs};
 
 /// Journal format version (bump on any encoding or fingerprint-semantics
 /// change; old files are then rotated aside via the header check).
@@ -66,39 +62,6 @@ pub(crate) const VERSION: u64 = 4;
 
 /// Journaled failures of one cell before resume quarantines it.
 pub const MAX_CELL_FAILURES: u32 = 2;
-
-/// A journal I/O operation that failed, with enough context (path and
-/// operation) to act on the message without a debugger.
-#[derive(Debug)]
-pub enum JournalError {
-    /// An underlying filesystem operation failed.
-    Io {
-        /// Journal (or tempfile) path the operation touched.
-        path: PathBuf,
-        /// What the journal was doing (e.g. `"read"`, `"append"`).
-        op: &'static str,
-        /// The underlying I/O error.
-        source: io::Error,
-    },
-}
-
-impl std::fmt::Display for JournalError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            JournalError::Io { path, op, source } => {
-                write!(f, "journal {op} failed for {}: {source}", path.display())
-            }
-        }
-    }
-}
-
-impl std::error::Error for JournalError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            JournalError::Io { source, .. } => Some(source),
-        }
-    }
-}
 
 /// Everything [`Journal::load`] recovered from disk.
 #[derive(Debug, Default)]
@@ -149,8 +112,8 @@ pub struct Journal {
 
 impl Journal {
     /// Binds a journal file to a sweep fingerprint (see [`fingerprint`]).
-    /// Nothing is touched on disk until [`load_or_reset`](Self::load_or_reset)
-    /// or [`append`](Self::append).
+    /// Nothing is touched on disk until [`load`](Self::load) or
+    /// [`append`](Self::append).
     pub fn new(path: impl Into<PathBuf>, fingerprint: u64) -> Self {
         Journal { path: path.into(), fingerprint }
     }
@@ -160,112 +123,43 @@ impl Journal {
         &self.path
     }
 
-    fn io_err(&self, op: &'static str, source: io::Error) -> JournalError {
-        JournalError::Io { path: self.path.clone(), op, source }
+    /// Opens the journal's log as its writer, repairing it.
+    fn open(&self) -> Result<SealedLog, LogError> {
+        let header = format!(
+            "{{\"cmpsim_journal\":{VERSION},\"fingerprint\":\"{:016x}\"}}\n",
+            self.fingerprint
+        );
+        SealedLog::open_with(&self.path, header)
     }
 
-    /// Reads back everything recoverable from an existing journal.
-    ///
-    /// A missing file yields an empty snapshot. A file whose header is
-    /// absent or carries a different fingerprint is **rotated aside** to
-    /// `<path>.stale.<its fingerprint>` and yields an empty snapshot —
-    /// resuming it under this sweep would mix results from a different
-    /// configuration, but deleting it would destroy another sweep's
-    /// completed cells (the other sweep can still be pointed back at the
-    /// rotated file). A torn tail (kill mid-append) is truncated off the
-    /// file; corrupt middle lines are skipped individually with their
-    /// line number and reason.
+    /// Reads back everything recoverable from the journal. Opening it
+    /// repairs it first (see the module docs): a journal of another
+    /// sweep is rotated aside and yields an empty snapshot, as does a
+    /// missing file, and a torn tail is cut off. Corrupt lines are
+    /// skipped individually with their line number and reason.
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors other than the file not existing.
-    pub fn load(&self) -> Result<JournalSnapshot, JournalError> {
-        let mut snap = JournalSnapshot::default();
-        let mut text = match fs::read_to_string(&self.path) {
-            Ok(t) => t,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(snap),
-            Err(e) => return Err(self.io_err("read", e)),
+    /// Propagates filesystem errors.
+    pub fn load(&self) -> Result<JournalSnapshot, LogError> {
+        let log = self.open()?;
+        let scan = log.scan()?;
+        let mut snap = JournalSnapshot {
+            skipped: scan.skipped,
+            repaired_tail: log.cut_bytes > 0,
+            ..JournalSnapshot::default()
         };
-        if !text.is_empty() && !text.ends_with('\n') {
-            // Torn tail: the writer was killed mid-append. Truncate the
-            // file to the last complete record so a subsequent append
-            // cannot splice new bytes onto the partial line.
-            snap.repaired_tail = true;
-            match text.rfind('\n') {
-                Some(pos) => {
-                    text.truncate(pos + 1);
-                    let f = fs::OpenOptions::new()
-                        .write(true)
-                        .open(&self.path)
-                        .map_err(|e| self.io_err("repair", e))?;
-                    f.set_len(text.len() as u64).map_err(|e| self.io_err("repair", e))?;
-                }
-                None => {
-                    // Not even the header survived; start over.
-                    fs::remove_file(&self.path).map_err(|e| self.io_err("reset", e))?;
-                    return Ok(snap);
-                }
-            }
-        }
-        let mut lines = text.lines();
-        let header_ok = lines
-            .next()
-            .and_then(parse_flat)
-            .map(|kvs| {
-                let map: HashMap<_, _> = kvs.into_iter().collect();
-                map.get("cmpsim_journal") == Some(&JsonVal::Num(VERSION))
-                    && map.get("fingerprint")
-                        == Some(&JsonVal::Str(format!("{:016x}", self.fingerprint)))
-            })
-            .unwrap_or(false);
-        if !header_ok {
-            self.rotate_stale(&text)?;
-            return Ok(JournalSnapshot::default());
-        }
-        for (idx, line) in lines.enumerate() {
-            match decode_line(line) {
+        for rec in scan.records {
+            match decode_fields(rec.fields) {
                 Ok(Decoded::Entry(e)) => snap.entries.push(e),
                 Ok(Decoded::Failure { workload, variant, seed }) => {
                     *snap.failures.entry((workload, variant, seed)).or_insert(0) += 1;
                 }
-                Err(reason) => snap.skipped.push((idx + 2, reason)), // 1-based, after header
+                Err(reason) => snap.skipped.push((rec.line, reason)),
             }
         }
+        snap.skipped.sort_by_key(|&(line, _)| line);
         Ok(snap)
-    }
-
-    /// Moves a journal whose header does not match this sweep out of the
-    /// way as `<path>.stale.<fingerprint>`, keyed by the *stale file's*
-    /// own fingerprint (or `unreadable` when not even the header parses).
-    /// A whitespace-only file carries no data worth keeping and is simply
-    /// removed. Rotation overwrites an earlier rotation of the same
-    /// fingerprint — same lineage, newer content — so stale files cannot
-    /// accumulate without bound.
-    fn rotate_stale(&self, text: &str) -> Result<(), JournalError> {
-        if text.trim().is_empty() {
-            fs::remove_file(&self.path).map_err(|e| self.io_err("reset", e))?;
-            return Ok(());
-        }
-        let theirs = text
-            .lines()
-            .next()
-            .and_then(parse_flat)
-            .and_then(|kvs| {
-                kvs.into_iter()
-                    .find(|(k, _)| k == "fingerprint")
-                    .and_then(|(_, v)| v.as_str().map(str::to_string))
-            })
-            .filter(|fp| fp.len() == 16 && fp.bytes().all(|b| b.is_ascii_hexdigit()))
-            .unwrap_or_else(|| "unreadable".to_string());
-        let mut stale = self.path.as_os_str().to_os_string();
-        stale.push(format!(".stale.{theirs}"));
-        let stale = PathBuf::from(stale);
-        eprintln!(
-            "cmpsim: journal {} belongs to a different sweep; rotated aside to {}",
-            self.path.display(),
-            stale.display()
-        );
-        fs::rename(&self.path, &stale).map_err(|e| self.io_err("rotate stale", e))
     }
 
     /// [`load`](Self::load), reduced to the completed cells (the v2
@@ -273,40 +167,9 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors other than the file not existing.
-    pub fn load_or_reset(&self) -> Result<Vec<JournalEntry>, JournalError> {
+    /// Propagates filesystem errors.
+    pub fn load_or_reset(&self) -> Result<Vec<JournalEntry>, LogError> {
         Ok(self.load()?.entries)
-    }
-
-    /// Opens the journal for appending, creating its header first if the
-    /// file is missing or empty. The header is written to a tempfile and
-    /// renamed into place, so a concurrent or subsequent reader can never
-    /// observe a half-written header.
-    fn open_for_append(&self) -> Result<fs::File, JournalError> {
-        if let Some(dir) = self.path.parent() {
-            fs::create_dir_all(dir).map_err(|e| self.io_err("create dir", e))?;
-        }
-        let empty = match fs::metadata(&self.path) {
-            Ok(m) => m.len() == 0,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => true,
-            Err(e) => return Err(self.io_err("stat", e)),
-        };
-        if empty {
-            let tmp = self.path.with_extension("tmp");
-            fs::write(
-                &tmp,
-                format!(
-                    "{{\"cmpsim_journal\":{VERSION},\"fingerprint\":\"{:016x}\"}}\n",
-                    self.fingerprint
-                ),
-            )
-            .map_err(|e| JournalError::Io { path: tmp.clone(), op: "write header", source: e })?;
-            fs::rename(&tmp, &self.path).map_err(|e| self.io_err("rename header", e))?;
-        }
-        fs::OpenOptions::new()
-            .append(true)
-            .open(&self.path)
-            .map_err(|e| self.io_err("open", e))
     }
 
     /// Appends one completed cell, creating the file (with its header)
@@ -315,12 +178,9 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors, tagged with the journal path and operation.
-    pub fn append(&self, entry: &JournalEntry) -> Result<(), JournalError> {
-        let mut f = self.open_for_append()?;
-        let mut line = encode_entry(entry);
-        line.push('\n');
-        f.write_all(line.as_bytes()).map_err(|e| self.io_err("append", e))
+    /// Propagates filesystem errors, tagged with the path and operation.
+    pub fn append(&self, e: &JournalEntry) -> Result<(), LogError> {
+        self.open()?.append(entry_body(&e.workload, e.variant, e.seed, &e.result)).map(drop)
     }
 
     /// Appends one cell-failure record; [`MAX_CELL_FAILURES`] of these
@@ -328,18 +188,15 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O errors, tagged with the journal path and operation.
+    /// Propagates filesystem errors, tagged with the path and operation.
     pub fn append_failure(
         &self,
         workload: &str,
         variant: Variant,
         seed: u64,
         error: &str,
-    ) -> Result<(), JournalError> {
-        let mut f = self.open_for_append()?;
-        let mut line = encode_failure(workload, variant, seed, error);
-        line.push('\n');
-        f.write_all(line.as_bytes()).map_err(|e| self.io_err("append failure", e))
+    ) -> Result<(), LogError> {
+        self.open()?.append(failure_body(workload, variant, seed, error)).map(drop)
     }
 }
 
@@ -456,28 +313,6 @@ pub fn fingerprint(base: &SystemConfig, len: SimLength) -> u64 {
     h.finish()
 }
 
-/// Default journal directory: `CMPSIM_GRID_DIR`, else
-/// `$CARGO_TARGET_DIR/grid`, else the nearest enclosing `target/`
-/// directory, else `./target/grid`.
-pub fn default_journal_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("CMPSIM_GRID_DIR") {
-        return PathBuf::from(d);
-    }
-    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
-        return PathBuf::from(d).join("grid");
-    }
-    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let cand = cur.join("target");
-        if cand.is_dir() {
-            return cand.join("grid");
-        }
-        if !cur.pop() {
-            return PathBuf::from("target/grid");
-        }
-    }
-}
-
 // ------------------------------------------------------------- encoding
 
 /// Per-level counter names, shared by the encoder and decoder so the two
@@ -575,24 +410,26 @@ fn numeric_fields(r: &RunResult) -> Vec<(String, u64)> {
     kv
 }
 
-pub(crate) fn encode_entry(e: &JournalEntry) -> String {
-    debug_assert!(
-        !e.workload.contains(['"', '\\']),
-        "workload names are plain identifiers"
-    );
+/// A completed cell's record, unsealed (the [`SealedLog::append`] shape).
+pub(crate) fn entry_body(workload: &str, variant: Variant, seed: u64, r: &RunResult) -> String {
+    debug_assert!(!workload.contains(['"', '\\']), "workload names are plain identifiers");
     let mut s = format!(
-        "{{\"workload\":\"{}\",\"variant\":\"{}\",\"seed\":{}",
-        e.workload,
-        e.variant.label(),
-        e.seed
+        "{{\"workload\":\"{workload}\",\"variant\":\"{}\",\"seed\":{seed}",
+        variant.label()
     );
-    for (k, v) in numeric_fields(&e.result) {
+    for (k, v) in numeric_fields(r) {
         s.push_str(&format!(",\"{k}\":{v}"));
     }
-    seal(s)
+    s
 }
 
-fn encode_failure(workload: &str, variant: Variant, seed: u64, error: &str) -> String {
+#[cfg(test)]
+pub(crate) fn encode_entry(e: &JournalEntry) -> String {
+    flatjson::seal(entry_body(&e.workload, e.variant, e.seed, &e.result))
+}
+
+/// A cell failure's record, unsealed.
+pub(crate) fn failure_body(workload: &str, variant: Variant, seed: u64, error: &str) -> String {
     // The flat parser supports no escapes, so sanitize the free-form
     // error text into the representable subset.
     let sane: String = error
@@ -604,10 +441,10 @@ fn encode_failure(workload: &str, variant: Variant, seed: u64, error: &str) -> S
             c => c,
         })
         .collect();
-    seal(format!(
+    format!(
         "{{\"failure\":\"{workload}\",\"variant\":\"{}\",\"seed\":{seed},\"error\":\"{sane}\"",
         variant.label()
-    ))
+    )
 }
 
 /// One checksum-verified journal record.
@@ -617,43 +454,41 @@ pub(crate) enum Decoded {
     Failure { workload: String, variant: Variant, seed: u64 },
 }
 
+/// Decodes one sealed journal (or store) line.
 pub(crate) fn decode_line(line: &str) -> Result<Decoded, String> {
-    check_seal(line)?;
-    let kvs = parse_flat(line).ok_or_else(|| "malformed record".to_string())?;
-    let map: HashMap<String, JsonVal> = kvs.into_iter().collect();
-    if let Some(JsonVal::Str(workload)) = map.get("failure") {
-        let variant = match map.get("variant") {
-            Some(JsonVal::Str(label)) => *Variant::all()
-                .iter()
-                .find(|v| v.label() == *label)
-                .ok_or_else(|| format!("unknown variant {label:?}"))?,
-            _ => return Err("failure record missing variant".to_string()),
-        };
-        let seed = match map.get("seed") {
-            Some(JsonVal::Num(n)) => *n,
-            _ => return Err("failure record missing seed".to_string()),
-        };
-        return Ok(Decoded::Failure { workload: workload.clone(), variant, seed });
+    decode_fields(flatjson::unseal(line)?)
+}
+
+/// Decodes a record's fields, as the sealed log's reader returns them.
+pub(crate) fn decode_fields(fields: Vec<(String, JsonVal)>) -> Result<Decoded, String> {
+    let map: HashMap<String, JsonVal> = fields.into_iter().collect();
+    if map.contains_key("failure") {
+        let (workload, variant, seed) =
+            cell_of(&map, "failure").ok_or_else(|| "malformed failure record".to_string())?;
+        return Ok(Decoded::Failure { workload, variant, seed });
     }
-    decode_entry(line)
+    entry_from(&map)
         .map(Decoded::Entry)
         .ok_or_else(|| "missing or malformed cell field".to_string())
 }
 
+#[cfg(test)]
 fn decode_entry(line: &str) -> Option<JournalEntry> {
-    let map: HashMap<String, JsonVal> = parse_flat(line)?.into_iter().collect();
-    let str_of = |k: &str| match map.get(k) {
-        Some(JsonVal::Str(s)) => Some(s.clone()),
-        _ => None,
-    };
-    let num_of = |k: &str| match map.get(k) {
-        Some(JsonVal::Num(n)) => Some(*n),
-        _ => None,
-    };
-    let workload = str_of("workload")?;
-    let label = str_of("variant")?;
+    entry_from(&flatjson::parse_flat(line)?.into_iter().collect())
+}
+
+/// The `(workload, variant, seed)` a record names, with the workload
+/// under the key `name`.
+fn cell_of(map: &HashMap<String, JsonVal>, name: &str) -> Option<(String, Variant, u64)> {
+    let workload = map.get(name)?.as_str()?.to_string();
+    let label = map.get("variant")?.as_str()?;
     let variant = *Variant::all().iter().find(|v| v.label() == label)?;
-    let seed = num_of("seed")?;
+    Some((workload, variant, map.get("seed")?.as_u64()?))
+}
+
+fn entry_from(map: &HashMap<String, JsonVal>) -> Option<JournalEntry> {
+    let num_of = |k: &str| map.get(k)?.as_u64();
+    let (workload, variant, seed) = cell_of(map, "workload")?;
 
     let mut r = RunResult {
         stats: SimStats::default(),

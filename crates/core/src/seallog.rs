@@ -1,109 +1,200 @@
-//! Crash-safe sealed JSONL artifact logs — the access-log/metrics
-//! counterpart of the store's on-disk discipline.
+//! The one sealed-record log under the checkpoint journal, the result
+//! store's data files and the serve daemon's access log: a header line,
+//! then one sealed record per line.
 //!
-//! A [`SealedLog`] is an append-only JSONL file whose header is written
-//! through a tempfile + atomic rename (exactly like store/journal
-//! headers, so no reader ever observes a half-written header) and whose
-//! records are flat-JSON lines sealed with the framing's FNV-1a-32
-//! `crc` ([`flatjson::seal`]), each appended as a single `write_all`.
-//! A writer killed mid-append therefore leaves at most one torn tail
-//! line, which [`read`] detects and drops — it can never leave a torn
-//! *artifact* that parses into wrong records.
-//!
-//! The serve daemon writes its structured access log through this
-//! (`--access-log` / `CMPSIM_ACCESS_LOG`), and `tests/metrics.rs` pins
-//! the recovery contract by re-reading the log after a simulated kill
-//! at every byte offset.
+//! - **Header.** Each owner passes its exact header line, e.g.
+//!   `{"cmpsim_log":1}`; the journal's and the store's name the sweep
+//!   fingerprint. The first append to a missing or empty file writes it
+//!   through [`write_atomic`], so no reader ever sees half a header.
+//! - **Seal.** A record is a flat-JSON object whose last field, `crc`,
+//!   is FNV-1a-32 over every byte before it ([`flatjson::seal`]).
+//! - **Append.** One `write_all` of the sealed line and its `\n`,
+//!   returning the line's byte range (the store's index records it).
+//! - **Reader.** [`read`] and `SealedLog::scan` split the file on `\n`
+//!   bytes and check each line alone: a line that is not UTF-8, fails
+//!   its seal or does not parse is skipped with its 1-based line number
+//!   and reason, and only that record is lost. An unterminated last line
+//!   is a torn tail (a writer killed mid-append), not corruption.
+//!   Reading never writes, so a log can be read while it is appended to.
+//! - **Repair on open.** Only a writer opening the log repairs it, one
+//!   way: a file whose first line is not the expected header is renamed
+//!   to `<path>.stale`, plus `.<fp>` when that header names a
+//!   fingerprint (never deleted; a later rotation of the same name
+//!   replaces it, so stale files cannot pile up); a file holding at most
+//!   part of the header is removed; a torn tail is cut back to the last
+//!   `\n`.
 
 use crate::flatjson::{self, JsonVal};
+use cmpsim_harness::metrics::write_atomic;
 use std::fs;
-use std::io::{self, Write as _};
+use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 
-/// Log format version, written into every header.
+/// Access-log format version, written into its header.
 pub const LOG_VERSION: u64 = 1;
 
+/// The access log's header line.
 fn header_line() -> String {
     format!("{{\"cmpsim_log\":{LOG_VERSION}}}\n")
 }
 
-/// Whether `line` is a valid header for this log version.
-fn is_header(line: &str) -> bool {
-    flatjson::parse_flat(line)
-        .map(|kvs| {
-            kvs.iter().any(|(k, v)| k == "cmpsim_log" && v.as_u64() == Some(LOG_VERSION))
-        })
-        .unwrap_or(false)
+/// A filesystem operation on a log (or a store sidecar) that failed.
+#[derive(Debug)]
+pub struct LogError {
+    /// File the operation touched.
+    pub path: PathBuf,
+    /// What was being done (e.g. `"append"`, `"rotate"`).
+    pub op: &'static str,
+    /// The underlying I/O error.
+    pub source: io::Error,
 }
 
-/// Append-only writer for a sealed JSONL artifact log.
+impl LogError {
+    /// Tags an I/O error with `path` and `op`, for `map_err`.
+    pub(crate) fn at<'a>(p: &'a Path, op: &'static str) -> impl FnOnce(io::Error) -> Self + 'a {
+        move |source| LogError { path: p.to_path_buf(), op, source }
+    }
+}
+
+impl std::fmt::Display for LogError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} failed for {}: {}", self.op, self.path.display(), self.source)
+    }
+}
+
+impl std::error::Error for LogError {
+    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
+        Some(&self.source)
+    }
+}
+
+/// One seal-verified record and where it sits in the file.
+#[derive(Debug, Clone, PartialEq)]
+pub(crate) struct Record {
+    /// 1-based line number (the header is line 1).
+    pub(crate) line: usize,
+    /// Byte range of the line, its `\n` included.
+    pub(crate) span: Range<u64>,
+    /// The record's fields, without the `crc` seal.
+    pub(crate) fields: Vec<(String, JsonVal)>,
+}
+
+/// Everything `SealedLog::scan` read from a log.
+#[derive(Debug, Default)]
+pub(crate) struct Scan {
+    /// Every intact record, in file order.
+    pub(crate) records: Vec<Record>,
+    /// Complete lines that failed, as `(1-based line number, reason)`.
+    pub(crate) skipped: Vec<(usize, String)>,
+    /// Whether the file ended in an unterminated (torn) line.
+    pub(crate) torn_tail: bool,
+}
+
+/// A writer's handle on one sealed-record log.
 #[derive(Debug)]
 pub struct SealedLog {
     path: PathBuf,
-    file: fs::File,
+    header: String,
+    /// Bytes the open cut off as a torn tail or an incomplete header.
+    pub(crate) cut_bytes: u64,
+    /// Where the open moved a file with a foreign header.
+    pub(crate) rotated_to: Option<PathBuf>,
+    /// Opened by the first append.
+    file: Option<fs::File>,
 }
 
 impl SealedLog {
-    /// Opens the log at `path`, creating it (header via tempfile +
-    /// atomic rename) when missing. An existing file whose first line is
-    /// not a valid header is rotated aside as `<path>.stale` — never
-    /// deleted, mirroring the journal's stale policy — and a fresh log
-    /// is started.
+    /// Opens the serve daemon's access log at `path` (header
+    /// `{"cmpsim_log":1}`), repairing it by the rule in the module docs.
+    /// Nothing is created until the first append.
     ///
     /// # Errors
     ///
-    /// Propagates filesystem errors.
-    pub fn open(path: impl Into<PathBuf>) -> io::Result<SealedLog> {
+    /// Propagates filesystem errors from the repair.
+    pub fn open(path: impl Into<PathBuf>) -> Result<SealedLog, LogError> {
+        Self::open_with(path, header_line())
+    }
+
+    /// Opens the log at `path` for appending under `header` (one line,
+    /// `\n` included) and repairs the file by the rule in the module
+    /// docs. Nothing is created until the first append.
+    ///
+    /// # Errors
+    ///
+    /// Propagates filesystem errors from the repair.
+    pub(crate) fn open_with(path: impl Into<PathBuf>, header: String) -> Result<Self, LogError> {
+        debug_assert!(header.ends_with('\n') && header.matches('\n').count() == 1);
         let path = path.into();
-        if let Some(parent) = path.parent() {
-            if !parent.as_os_str().is_empty() {
-                fs::create_dir_all(parent)?;
-            }
-        }
-        let valid = match fs::read_to_string(&path) {
-            Ok(text) => text.lines().next().map(is_header).unwrap_or(false),
-            Err(_) => false,
-        };
-        if !valid {
-            if path.exists() {
-                let mut aside = path.as_os_str().to_os_string();
-                aside.push(".stale");
-                let _ = fs::rename(&path, PathBuf::from(aside));
-            }
-            // Header through a sibling tempfile and an atomic rename: a
-            // kill here leaves either no log or a complete header.
-            let mut tmp = path.as_os_str().to_os_string();
-            tmp.push(".tmp");
-            let tmp = PathBuf::from(tmp);
-            fs::write(&tmp, header_line())?;
-            fs::rename(&tmp, &path)?;
-        }
-        let file = fs::OpenOptions::new().append(true).open(&path)?;
-        Ok(SealedLog { path, file })
+        let (cut_bytes, rotated_to) = repair(&path, &header)?;
+        Ok(SealedLog { path, header, cut_bytes, rotated_to, file: None })
     }
 
-    /// The log's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Seals and appends one record. `open_body` is a flat-JSON object
-    /// body without its closing brace (the [`flatjson::seal`] contract),
-    /// e.g. `{"conn":1,"req":2,"status":"ok"`. The sealed line goes out
-    /// in one `write_all`, so a kill leaves at most a torn tail that
-    /// [`read`] drops.
+    /// Seals and appends one record and returns the byte range of its
+    /// line. `open_body` is a flat-JSON object without its closing brace
+    /// (the [`flatjson::seal`] contract), e.g. `{"conn":1,"req":2`.
     ///
     /// # Errors
     ///
-    /// Propagates the write error.
-    pub fn append(&mut self, open_body: String) -> io::Result<()> {
+    /// Propagates filesystem errors from the header write, the open or
+    /// the append.
+    pub fn append(&mut self, open_body: String) -> Result<Range<u64>, LogError> {
         let mut line = flatjson::seal(open_body);
         line.push('\n');
-        self.file.write_all(line.as_bytes())
+        let path = &self.path;
+        if self.file.is_none() {
+            let empty = match fs::metadata(path) {
+                Ok(m) => m.len() == 0,
+                Err(e) if e.kind() == io::ErrorKind::NotFound => true,
+                Err(e) => return Err(LogError::at(path, "stat")(e)),
+            };
+            if empty {
+                write_atomic(path, &self.header).map_err(LogError::at(path, "write header"))?;
+            }
+            let file = fs::OpenOptions::new().append(true).open(path);
+            self.file = Some(file.map_err(LogError::at(path, "open"))?);
+        }
+        let file = self.file.as_mut().expect("opened above");
+        let start = file.seek(SeekFrom::End(0)).map_err(LogError::at(path, "seek"))?;
+        file.write_all(line.as_bytes()).map_err(LogError::at(path, "append"))?;
+        Ok(start..start + line.len() as u64)
+    }
+
+    /// Reads every record of the log; a missing file reads as empty.
+    ///
+    /// # Errors
+    ///
+    /// Propagates the read, and reports a file that no longer starts
+    /// with the header as `InvalidData`.
+    pub(crate) fn scan(&self) -> Result<Scan, LogError> {
+        match fs::read(&self.path) {
+            Ok(bytes) => scan_bytes(&bytes, &self.header).ok_or_else(|| not_this_log(&self.path)),
+            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(Scan::default()),
+            Err(e) => Err(LogError::at(&self.path, "read")(e)),
+        }
+    }
+
+    /// The line at `span` (a record's span or an [`append`](Self::append)
+    /// result), without its `\n`.
+    ///
+    /// # Errors
+    ///
+    /// Describes why the bytes there are not one UTF-8 line.
+    pub(crate) fn read_at(&self, span: Range<u64>) -> Result<String, String> {
+        let len = span.end.saturating_sub(span.start);
+        let mut buf = Vec::new();
+        let f = fs::File::open(&self.path).map_err(|e| e.to_string())?;
+        (&f).seek(SeekFrom::Start(span.start))
+            .and_then(|_| (&f).take(len).read_to_end(&mut buf))
+            .map_err(|e| e.to_string())?;
+        if buf.len() as u64 != len || buf.pop() != Some(b'\n') {
+            return Err("not a whole line".to_string());
+        }
+        String::from_utf8(buf).map_err(|_| "not UTF-8".to_string())
     }
 }
 
-/// What [`read`] recovered from a sealed log.
+/// What [`read`] recovered from the access log.
 #[derive(Debug, Default)]
 pub struct LogContents {
     /// Every intact record, in append order, as parsed flat-JSON fields.
@@ -112,59 +203,124 @@ pub struct LogContents {
     /// signature of a writer killed mid-append. The torn line is
     /// dropped, not parsed.
     pub torn_tail: bool,
-    /// Complete lines dropped for a failed seal or unparseable body
-    /// (in-place corruption, not a torn tail).
+    /// Complete lines dropped for bad UTF-8, a failed seal or an
+    /// unparseable body (in-place corruption, not a torn tail).
     pub skipped: usize,
 }
 
-/// Reads a sealed log back, dropping the torn tail a killed writer may
-/// have left and any record whose seal fails. The header line is
-/// validated and not returned as a record.
+/// Reads the access log at `path` without touching it. The header line
+/// is checked and not returned as a record.
 ///
 /// # Errors
 ///
-/// Propagates the file read; a missing or invalid *header* is reported
-/// as `InvalidData` (the file is not a sealed log).
-pub fn read(path: &Path) -> io::Result<LogContents> {
-    let text = fs::read_to_string(path)?;
-    let mut out = LogContents::default();
-    let mut saw_header = false;
-    for chunk in text.split_inclusive('\n') {
-        if !chunk.ends_with('\n') {
-            out.torn_tail = true;
+/// Propagates the file read; a missing or damaged header is reported as
+/// `InvalidData` (the file is not an access log).
+pub fn read(path: &Path) -> Result<LogContents, LogError> {
+    let bytes = fs::read(path).map_err(LogError::at(path, "read"))?;
+    let scan = scan_bytes(&bytes, &header_line()).ok_or_else(|| not_this_log(path))?;
+    Ok(LogContents {
+        records: scan.records.into_iter().map(|r| r.fields).collect(),
+        torn_tail: scan.torn_tail,
+        skipped: scan.skipped.len(),
+    })
+}
+
+fn not_this_log(path: &Path) -> LogError {
+    let why = io::Error::new(io::ErrorKind::InvalidData, "first line is not the log's header");
+    LogError::at(path, "read header")(why)
+}
+
+/// The one reader, over a log's bytes; `None` when they do not start
+/// with `header`.
+fn scan_bytes(bytes: &[u8], header: &str) -> Option<Scan> {
+    let body = bytes.strip_prefix(header.as_bytes())?;
+    let mut scan = Scan::default();
+    let mut start = header.len() as u64;
+    for (i, chunk) in body.split_inclusive(|&b| b == b'\n').enumerate() {
+        let span = start..start + chunk.len() as u64;
+        start = span.end;
+        let Some(text) = chunk.strip_suffix(b"\n") else {
+            scan.torn_tail = true;
             break;
-        }
-        let line = chunk.trim_end_matches('\n');
-        if !saw_header {
-            if !is_header(line) {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("{} is not a sealed log (bad header)", path.display()),
-                ));
-            }
-            saw_header = true;
-            continue;
-        }
-        match flatjson::check_seal(line) {
-            Ok(body) => match flatjson::parse_flat(&format!("{body}}}")) {
-                Some(kvs) => out.records.push(kvs),
-                None => out.skipped += 1,
-            },
-            Err(_) => out.skipped += 1,
+        };
+        let line = i + 2;
+        let text = std::str::from_utf8(text).map_err(|_| "not UTF-8".to_string());
+        match text.and_then(flatjson::unseal) {
+            Ok(fields) => scan.records.push(Record { line, span, fields }),
+            Err(why) => scan.skipped.push((line, why)),
         }
     }
-    if !saw_header {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("{} is not a sealed log (no header)", path.display()),
-        ));
+    Some(scan)
+}
+
+/// Repairs the log at `path` for a writer (see the module docs) and
+/// returns the bytes it cut and where it rotated a foreign file.
+fn repair(path: &Path, header: &str) -> Result<(u64, Option<PathBuf>), LogError> {
+    let f = match fs::File::open(path) {
+        Ok(f) => f,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok((0, None)),
+        Err(e) => return Err(LogError::at(path, "open")(e)),
+    };
+    let len = f.metadata().map_err(LogError::at(path, "stat"))?.len();
+    let mut head = Vec::new();
+    (&f).take(header.len().max(256) as u64)
+        .read_to_end(&mut head)
+        .map_err(LogError::at(path, "read header"))?;
+    if head.starts_with(header.as_bytes()) {
+        let mut last = [0u8];
+        (&f).seek(SeekFrom::End(-1))
+            .and_then(|_| (&f).read_exact(&mut last))
+            .map_err(LogError::at(path, "read tail"))?;
+        if last[0] == b'\n' {
+            return Ok((0, None));
+        }
+        // Torn tail: keep everything up to the last '\n' (the header's
+        // at the latest).
+        let bytes = fs::read(path).map_err(LogError::at(path, "read"))?;
+        let keep = bytes.iter().rposition(|&b| b == b'\n').map_or(0, |p| p + 1);
+        fs::OpenOptions::new()
+            .write(true)
+            .open(path)
+            .and_then(|w| w.set_len(keep as u64))
+            .map_err(LogError::at(path, "cut torn tail"))?;
+        return Ok(((bytes.len() - keep) as u64, None));
     }
-    Ok(out)
+    if len < header.len() as u64 && header.as_bytes().starts_with(&head) {
+        fs::remove_file(path).map_err(LogError::at(path, "remove"))?;
+        return Ok((len, None));
+    }
+    let fp = head
+        .split(|&b| b == b'\n')
+        .next()
+        .and_then(|first| std::str::from_utf8(first).ok())
+        .and_then(flatjson::parse_flat)
+        .and_then(|kvs| kvs.into_iter().find(|(k, _)| k == "fingerprint"))
+        .and_then(|(_, v)| v.as_str().map(str::to_string))
+        .filter(|fp| fp.len() == 16 && fp.bytes().all(|b| b.is_ascii_hexdigit()));
+    let mut stale = path.as_os_str().to_os_string();
+    stale.push(".stale");
+    if let Some(fp) = fp {
+        stale.push(format!(".{fp}"));
+    }
+    let stale = PathBuf::from(stale);
+    fs::rename(path, &stale).map_err(LogError::at(path, "rotate"))?;
+    eprintln!(
+        "cmpsim: {} does not start with this log's header; rotated aside to {}",
+        path.display(),
+        stale.display()
+    );
+    Ok((0, Some(stale)))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Variant;
+    use crate::journal::{self, Decoded, Journal, JournalEntry};
+    use crate::stats::{LevelStats, RunResult, SimStats};
+    use crate::store::{CellKey, ResultStore};
+    use cmpsim_harness::gen::{vec_of, Gen};
+    use cmpsim_harness::prop::check;
 
     fn temp_log(name: &str) -> PathBuf {
         let dir =
@@ -269,5 +425,305 @@ mod tests {
         };
         assert_eq!(fs::read_to_string(stale).unwrap(), "not a log\n", "preserved, not deleted");
         let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    fn pinned_result() -> RunResult {
+        let stats = SimStats {
+            instructions: 77,
+            capacity_ratio_sum: 0.1 + 0.2,
+            l2: LevelStats { hits: 9, ..LevelStats::default() },
+            ..SimStats::default()
+        };
+        RunResult { stats, cycles: 1234, clock_ghz: 5, events: 2468, retired: 3702, host_nanos: 1 }
+    }
+
+    const PINNED_FP: u64 = 0x0123_4567_89ab_cdef;
+    const JOURNAL_HEADER: &str = r#"{"cmpsim_journal":4,"fingerprint":"0123456789abcdef"}
+"#;
+    const STORE_HEADER: &str = r#"{"cmpsim_store":1,"fingerprint":"0123456789abcdef"}
+"#;
+    const LOG_HEADER: &str = r#"{"cmpsim_log":1}
+"#;
+    /// A journal entry, which is also the store's record.
+    const ENTRY: &str = concat!(
+        r#"{"workload":"apsi","variant":"pf","seed":11,"cycles":1234,"clock_ghz":5,"#,
+        r#""events":2468,"retired":3702,"host_nanos":1,"stats.instructions":77,"#,
+        r#""stats.l1i.accesses":0,"stats.l1i.hits":0,"stats.l1i.demand_misses":0,"#,
+        r#""stats.l1i.prefetch_hits":0,"stats.l1i.prefetches_issued":0,"#,
+        r#""stats.l1i.prefetch_fills":0,"stats.l1i.useless_prefetch_evictions":0,"#,
+        r#""stats.l1d.accesses":0,"stats.l1d.hits":0,"stats.l1d.demand_misses":0,"#,
+        r#""stats.l1d.prefetch_hits":0,"stats.l1d.prefetches_issued":0,"#,
+        r#""stats.l1d.prefetch_fills":0,"stats.l1d.useless_prefetch_evictions":0,"#,
+        r#""stats.l2.accesses":0,"stats.l2.hits":9,"stats.l2.demand_misses":0,"#,
+        r#""stats.l2.prefetch_hits":0,"stats.l2.prefetches_issued":0,"#,
+        r#""stats.l2.prefetch_fills":0,"stats.l2.useless_prefetch_evictions":0,"#,
+        r#""stats.l2_compressed_hits":0,"stats.l2_hit_latency_sum":0,"#,
+        r#""stats.l2_hit_latency_count":0,"stats.l2_victim_tag_hits":0,"#,
+        r#""stats.harmful_prefetch_detections":0,"#,
+        r#""stats.capacity_ratio_sum.bits":4599075939470750516,"#,
+        r#""stats.capacity_ratio_samples":0,"stats.link.total_bytes":0,"#,
+        r#""stats.link.data_bytes":0,"stats.link.prefetch_bytes":0,"stats.link.messages":0,"#,
+        r#""stats.link.queue_delay_cycles":0,"stats.link.busy_cycles":0,"#,
+        r#""stats.link.dropped_messages":0,"stats.link.corrupted_messages":0,"#,
+        r#""stats.mem_reads":0,"stats.mem_writes":0,"stats.coherence.invalidations":0,"#,
+        r#""stats.coherence.recalls":0,"stats.coherence.upgrades":0,"#,
+        r#""stats.coherence.inclusion_recalls":0,"stats.dropped_prefetches":0,"#,
+        r#""stats.faults.codec_faults_injected":0,"stats.faults.codec_faults_detected":0,"#,
+        r#""stats.faults.fault_recoveries":0,"stats.faults.lines_quarantined":0,"#,
+        r#""stats.faults.link_faults_injected":0,"stats.faults.link_retransmits":0,"#,
+        r#""stats.faults.mem_stall_bursts":0,"stats.faults.mem_stall_cycles":0,"#,
+        r#""stats.faults.dir_messages_lost":0,"stats.faults.dir_retries":0,"crc":"006bebeb"}"#,
+        "\n"
+    );
+    const FAILURE: &str = r#"{"failure":"apsi","variant":"base","seed":11,"error":"livelock at cycle 5:   core '0'","crc":"8ac7fd14"}
+"#;
+    const INDEX: &str = r#"{"workload":"apsi","variant":"pf","seed":11,"offset":52,"len":1776}
+"#;
+    const ACCESS: &str = r#"{"conn":1,"req":2,"kind":"sweep","sweep":"hit","cells":4,"elapsed_us":400,"crc":"fb575344"}
+"#;
+    const ACCESS_BODY: &str =
+        r#"{"conn":1,"req":2,"kind":"sweep","sweep":"hit","cells":4,"elapsed_us":400"#;
+
+    /// Each header line and one sealed record of each kind, byte for
+    /// byte as the formats were before the three owners shared this
+    /// log; and files holding those bytes read back.
+    #[test]
+    fn on_disk_formats_are_pinned() {
+        let dir = temp_log("pinned").parent().unwrap().to_path_buf();
+        let key = CellKey::new("apsi", Variant::Prefetch, 11);
+        let entry = JournalEntry {
+            workload: "apsi".into(),
+            variant: Variant::Prefetch,
+            seed: 11,
+            result: pinned_result(),
+        };
+
+        let j = Journal::new(dir.join("journal.jsonl"), PINNED_FP);
+        j.append(&entry).unwrap();
+        j.append_failure("apsi", Variant::Base, 11, "livelock at cycle 5:\n  core \"0\"").unwrap();
+        let journal_bytes = [JOURNAL_HEADER, ENTRY, FAILURE].concat();
+        assert_eq!(fs::read_to_string(j.path()).unwrap(), journal_bytes);
+
+        let store = ResultStore::with_capacity(dir.join("store"), u64::MAX);
+        store.publish(PINNED_FP, &key, &pinned_result()).unwrap();
+        let data = dir.join("store").join(format!("{PINNED_FP:016x}.jsonl"));
+        assert_eq!(fs::read_to_string(&data).unwrap(), [STORE_HEADER, ENTRY].concat());
+        let index = fs::read_to_string(data.with_extension("idx")).unwrap();
+        assert_eq!(index, INDEX);
+
+        let mut log = SealedLog::open(dir.join("access.jsonl")).unwrap();
+        log.append(ACCESS_BODY.to_string()).unwrap();
+        let access = fs::read_to_string(dir.join("access.jsonl")).unwrap();
+        assert_eq!(access, [LOG_HEADER, ACCESS].concat());
+
+        // The same bytes, written by hand, read back through every owner.
+        let old = dir.join("old");
+        fs::create_dir_all(old.join("store")).unwrap();
+        fs::write(old.join("journal.jsonl"), &journal_bytes).unwrap();
+        let snap = Journal::new(old.join("journal.jsonl"), PINNED_FP).load().unwrap();
+        assert_eq!(snap.entries, vec![entry]);
+        assert_eq!(snap.failures[&("apsi".to_string(), Variant::Base, 11)], 1);
+        assert!(snap.skipped.is_empty());
+        let old_data = old.join("store").join(format!("{PINNED_FP:016x}.jsonl"));
+        fs::write(&old_data, [STORE_HEADER, ENTRY].concat()).unwrap();
+        fs::write(old_data.with_extension("idx"), INDEX).unwrap();
+        let store = ResultStore::with_capacity(old.join("store"), u64::MAX);
+        assert_eq!(store.get(PINNED_FP, &key), Some(pinned_result()));
+        fs::write(old.join("access.jsonl"), [LOG_HEADER, ACCESS].concat()).unwrap();
+        let got = read(&old.join("access.jsonl")).unwrap();
+        assert_eq!(got.records, vec![flatjson::parse_flat(&format!("{ACCESS_BODY}}}")).unwrap()]);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn reading_never_writes() {
+        let path = temp_log("read-only");
+        {
+            let mut log = SealedLog::open(&path).unwrap();
+            log.append("{\"req\":1".to_string()).unwrap();
+        }
+        let mut torn = fs::read(&path).unwrap();
+        torn.extend_from_slice(b"{\"req\":2,\"cr");
+        fs::write(&path, &torn).unwrap();
+        let got = read(&path).unwrap();
+        assert!(got.torn_tail);
+        assert_eq!(got.records.len(), 1);
+        assert_eq!(fs::read(&path).unwrap(), torn, "the reader left the torn tail alone");
+        // The writer's open is what cuts it.
+        let log = SealedLog::open(&path).unwrap();
+        assert_eq!(log.cut_bytes, 12);
+        assert_eq!(fs::read(&path).unwrap(), &torn[..torn.len() - 12]);
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    #[test]
+    fn foreign_header_fingerprint_names_the_stale_file() {
+        let path = temp_log("foreign-fp");
+        fs::create_dir_all(path.parent().unwrap()).unwrap();
+        let foreign = "{\"cmpsim_journal\":3,\"fingerprint\":\"00000000000000aa\"}\n";
+        fs::write(&path, foreign).unwrap();
+        let log = SealedLog::open(&path).unwrap();
+        let stale = path.parent().unwrap().join("log.jsonl.stale.00000000000000aa");
+        assert_eq!(log.rotated_to.as_deref(), Some(stale.as_path()));
+        assert_eq!(fs::read_to_string(&stale).unwrap(), foreign);
+        // A header cut short by a kill is not foreign: nothing to keep.
+        fs::write(&path, &LOG_HEADER[..7]).unwrap();
+        let log = SealedLog::open(&path).unwrap();
+        assert_eq!((log.cut_bytes, log.rotated_to), (7, None));
+        assert!(!path.exists());
+        let _ = fs::remove_dir_all(path.parent().unwrap());
+    }
+
+    /// One hostile edit of a log's bytes. Positions wrap modulo the
+    /// current length (or line count), so every value is meaningful and
+    /// shrinking moves them toward the start of the file.
+    #[derive(Clone, Debug, PartialEq)]
+    enum Mutation {
+        Truncate(usize),
+        Overwrite(usize, u8),
+        DuplicateLine(usize),
+        InsertHugeLine(usize),
+    }
+
+    fn mutation() -> Gen<Mutation> {
+        Gen::new(
+            |rng| {
+                let at = rng.below(1 << 20) as usize;
+                match rng.below(4) {
+                    0 => Mutation::Truncate(at),
+                    1 => {
+                        let nasty = [0xff, 0x00, b'\n', b'"'];
+                        let byte = if rng.chance(0.5) {
+                            nasty[rng.below(4) as usize]
+                        } else {
+                            rng.below(256) as u8
+                        };
+                        Mutation::Overwrite(at, byte)
+                    }
+                    2 => Mutation::DuplicateLine(at),
+                    _ => Mutation::InsertHugeLine(at),
+                }
+            },
+            |m| {
+                let (Mutation::Truncate(at)
+                | Mutation::Overwrite(at, _)
+                | Mutation::DuplicateLine(at)
+                | Mutation::InsertHugeLine(at)) = *m;
+                if at == 0 {
+                    return Vec::new();
+                }
+                vec![match *m {
+                    Mutation::Truncate(_) => Mutation::Truncate(at / 2),
+                    Mutation::Overwrite(_, b) => Mutation::Overwrite(at / 2, b),
+                    Mutation::DuplicateLine(_) => Mutation::DuplicateLine(at / 2),
+                    Mutation::InsertHugeLine(_) => Mutation::InsertHugeLine(at / 2),
+                }]
+            },
+        )
+    }
+
+    fn mutate(mut bytes: Vec<u8>, mutations: &[Mutation], huge: &[u8]) -> Vec<u8> {
+        for m in mutations {
+            let lines: Vec<&[u8]> = bytes.split_inclusive(|&b| b == b'\n').collect();
+            bytes = match *m {
+                Mutation::Truncate(at) => bytes[..at % (bytes.len() + 1)].to_vec(),
+                Mutation::Overwrite(at, b) if !bytes.is_empty() => {
+                    let at = at % bytes.len();
+                    let mut out = bytes.clone();
+                    out[at] = b;
+                    out
+                }
+                Mutation::DuplicateLine(at) if !lines.is_empty() => {
+                    let at = at % lines.len();
+                    let mut out = lines[..=at].concat();
+                    out.extend_from_slice(lines[at]);
+                    out.extend(lines[at + 1..].concat());
+                    out
+                }
+                Mutation::InsertHugeLine(at) => {
+                    let at = at % (lines.len() + 1);
+                    [&lines[..at].concat()[..], huge, &lines[at..].concat()[..]].concat()
+                }
+                _ => bytes,
+            };
+        }
+        bytes
+    }
+
+    /// Hostile input for the one reader and the journal's record decoder:
+    /// a valid journal, then a shrinking list of truncations, byte
+    /// overwrites (`0xff`, `0x00`, `\n`, ...), duplicated lines and
+    /// inserted lines of over 1 MiB. The reader never panics, fails only
+    /// on a damaged header, returns only seal-verified original records,
+    /// and returns every original whose line and preceding newline
+    /// survived.
+    #[test]
+    fn reader_survives_hostile_bytes() {
+        let header = format!("{{\"cmpsim_journal\":4,\"fingerprint\":\"{:016x}\"}}\n", 7);
+        let entries: Vec<JournalEntry> = (0..3u64)
+            .map(|i| JournalEntry {
+                workload: ["apsi", "mgrid", "zeus"][i as usize].into(),
+                variant: Variant::all()[i as usize],
+                seed: 11 + i,
+                result: RunResult { cycles: 1000 + i, ..pinned_result() },
+            })
+            .collect();
+        let failures = [("art", Variant::Base, 5), ("jbb", Variant::Prefetch, 6)];
+        let mut originals: Vec<String> = entries.iter().map(journal::encode_entry).collect();
+        originals.extend(failures.iter().map(|&(w, v, s)| {
+            flatjson::seal(journal::failure_body(w, v, s, "timed out after 5 ms"))
+        }));
+        let mut valid = header.clone().into_bytes();
+        for line in &originals {
+            valid.extend_from_slice(line.as_bytes());
+            valid.push(b'\n');
+        }
+        let original_fields: Vec<_> =
+            originals.iter().map(|l| flatjson::unseal(l).unwrap()).collect();
+        let huge = format!("{{\"workload\":\"{}\",\"crc\":\"00000000\"}}\n", "x".repeat(1 << 20));
+
+        check("sealed_log_reader_survives_hostile_bytes", &vec_of(mutation(), 0..=4), |muts| {
+            let bytes = mutate(valid.clone(), muts, huge.as_bytes());
+            for line in bytes.split(|&b| b == b'\n') {
+                let Ok(text) = std::str::from_utf8(line) else { continue };
+                match journal::decode_line(text) {
+                    Ok(Decoded::Entry(e)) if !entries.contains(&e) => {
+                        return Err(format!("decoded an entry that was never written: {e:?}"));
+                    }
+                    Ok(Decoded::Failure { workload, variant, seed })
+                        if !failures.contains(&(workload.as_str(), variant, seed)) =>
+                    {
+                        return Err(format!("decoded a failure never written: {workload}"));
+                    }
+                    _ => {}
+                }
+            }
+            let header_intact = bytes.starts_with(header.as_bytes());
+            let Some(scan) = scan_bytes(&bytes, &header) else {
+                return if header_intact { Err("intact header, yet Err".into()) } else { Ok(()) };
+            };
+            if !header_intact {
+                return Err("damaged header, yet read".into());
+            }
+            for rec in &scan.records {
+                let line = &bytes[rec.span.start as usize..rec.span.end as usize - 1];
+                let text = std::str::from_utf8(line).map_err(|e| e.to_string())?;
+                flatjson::check_seal(text).map_err(|e| format!("line {}: {e}", rec.line))?;
+                if !original_fields.contains(&rec.fields) {
+                    return Err(format!("line {} is not an original record", rec.line));
+                }
+            }
+            let mut complete: Vec<&[u8]> = bytes.split(|&b| b == b'\n').collect();
+            complete.pop(); // the bytes after the last '\n'
+            for (i, line) in complete.iter().enumerate().skip(1) {
+                let Some(o) = originals.iter().position(|o| o.as_bytes() == *line) else {
+                    continue;
+                };
+                if !scan.records.iter().any(|r| r.line == i + 1 && r.fields == original_fields[o]) {
+                    return Err(format!("intact original on line {} was not returned", i + 1));
+                }
+            }
+            Ok(())
+        });
     }
 }

@@ -15,22 +15,21 @@
 //!
 //! ```text
 //! target/store/
-//!   <fingerprint>.jsonl   # data: header + CRC-sealed cell records
+//!   <fingerprint>.jsonl   # data: a sealed log of cell records
 //!   <fingerprint>.idx     # index: one "key → byte offset/len" line per record
 //!   lru.jsonl             # logical-clock touch records driving eviction
 //! ```
 //!
-//! The data file reuses the journal's framing byte-for-byte: a
-//! `{"cmpsim_store":…,"fingerprint":"…"}` header (tempfile + atomic
-//! rename) followed by one sealed record per cell, each carrying an
-//! FNV-1a-32 `crc` so in-place corruption is detected and the cell
-//! recomputed rather than silently served wrong. The `.idx` sidecar
-//! makes a cold lookup O(1): one line per record mapping the cell key to
-//! the record's byte range, so a hit reads *only that record* from the
-//! data file. The index is disposable — if it is missing, stale (a crash
-//! between the data append and the index append) or lies (its range
-//! fails the CRC), the store falls back to scanning the data file and
-//! rewrites the index.
+//! Each data file is a [`seallog`](crate::seallog) log with a
+//! `{"cmpsim_store":…,"fingerprint":"…"}` header and one record per cell
+//! in the journal's encoding. A shard's first load opens it as the log's
+//! writer, so the log's repair rule applies: a foreign or
+//! version-mismatched file is rotated aside to `.stale.<fp>`, and a torn
+//! tail is cut back. A record failing its seal or key check is a miss
+//! and recomputes, never a wrong hit. The `.idx` sidecar makes a cold
+//! lookup O(1) — a hit reads *only its record* — and is disposable:
+//! when it does not cover exactly the data file (missing, or a crash
+//! between the two appends), the first load rebuilds it from a scan.
 //!
 //! Size is bounded: when the data files exceed the configured budget
 //! (`CMPSIM_STORE_MAX_BYTES`, default 512 MiB), whole fingerprint files
@@ -53,12 +52,14 @@
 //! identical with the store cold, warm, or absent.
 
 use crate::config::Variant;
-use crate::journal::{self, JournalEntry};
+use crate::journal::{self, Decoded};
+use crate::seallog::{LogError, SealedLog};
 use crate::stats::RunResult;
 use cmpsim_harness::metrics::{self, Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::fs;
-use std::io::{self, Read as _, Seek as _, SeekFrom, Write as _};
+use std::io::Write as _;
+use std::ops::Range;
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -125,30 +126,6 @@ impl StoreStats {
     }
 }
 
-/// Store I/O failure, tagged with the path and operation (mirrors
-/// [`journal::JournalError`]).
-#[derive(Debug)]
-pub struct StoreError {
-    /// File the operation touched.
-    pub path: PathBuf,
-    /// What the store was doing.
-    pub op: &'static str,
-    /// The underlying I/O error.
-    pub source: io::Error,
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "store {} failed for {}: {}", self.op, self.path.display(), self.source)
-    }
-}
-
-impl std::error::Error for StoreError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        Some(&self.source)
-    }
-}
-
 /// Outcome of [`ResultStore::lease`].
 #[derive(Debug)]
 pub enum Lease {
@@ -178,7 +155,7 @@ impl ComputeLease {
     ///
     /// Propagates I/O errors from the data/index append; the claim is
     /// released either way.
-    pub fn publish(mut self, result: &RunResult) -> Result<(), StoreError> {
+    pub fn publish(mut self, result: &RunResult) -> Result<(), LogError> {
         self.done = true;
         self.store.publish_leased(self.fp, &self.key, result)
     }
@@ -193,16 +170,15 @@ impl Drop for ComputeLease {
 }
 
 /// Per-fingerprint in-memory view of one data/index file pair.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct Shard {
-    /// Key → `(offset, len)` of the sealed record in the data file
+    /// The data file, opened (and so repaired) at the shard's first load.
+    log: SealedLog,
+    /// Key → byte range of the sealed record in the data file
     /// (last-wins on duplicate appends).
-    offsets: HashMap<CellKey, (u64, u32)>,
+    offsets: HashMap<CellKey, Range<u64>>,
     /// Records already decoded this session.
     decoded: HashMap<CellKey, RunResult>,
-    /// Whether the data file existed with a valid header at load time
-    /// (false until the first publish creates it).
-    on_disk: bool,
 }
 
 #[derive(Debug, Default)]
@@ -265,14 +241,14 @@ pub struct ResultStore {
     metrics: Option<StoreMetrics>,
 }
 
-/// Default store directory: `CMPSIM_STORE`, else the sibling of the
-/// journal dir (`$CARGO_TARGET_DIR/store`, the nearest enclosing
-/// `target/`, or `./target/store`).
+/// Default store directory: `CMPSIM_STORE`, else `store` beside the
+/// journal dir (`CMPSIM_GRID_DIR`, else `grid` under
+/// `$CARGO_TARGET_DIR`, the nearest enclosing `target/`, or `./target`).
 pub fn default_store_dir() -> PathBuf {
     if let Ok(d) = std::env::var("CMPSIM_STORE") {
         return PathBuf::from(d);
     }
-    let grid = journal::default_journal_dir();
+    let grid = metrics::artifact_dir("CMPSIM_GRID_DIR", "grid");
     match grid.parent() {
         Some(p) => p.join("store"),
         None => PathBuf::from("target/store"),
@@ -282,12 +258,19 @@ pub fn default_store_dir() -> PathBuf {
 impl ResultStore {
     /// Opens (creating lazily on first publish) a store rooted at `dir`,
     /// with the size budget from `CMPSIM_STORE_MAX_BYTES` (bytes; default
-    /// [`DEFAULT_MAX_BYTES`]).
+    /// [`DEFAULT_MAX_BYTES`]). A malformed or zero budget warns on stderr
+    /// and keeps the default.
     pub fn open(dir: impl Into<PathBuf>) -> Arc<ResultStore> {
-        let max_bytes = std::env::var("CMPSIM_STORE_MAX_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(DEFAULT_MAX_BYTES);
+        let max_bytes = match std::env::var("CMPSIM_STORE_MAX_BYTES") {
+            Ok(raw) => parse_max_bytes(&raw).unwrap_or_else(|why| {
+                eprintln!(
+                    "cmpsim: ignoring CMPSIM_STORE_MAX_BYTES={raw:?}: {why}; \
+                     keeping the default {DEFAULT_MAX_BYTES} bytes"
+                );
+                DEFAULT_MAX_BYTES
+            }),
+            Err(_) => DEFAULT_MAX_BYTES,
+        };
         Self::with_capacity(dir, max_bytes)
     }
 
@@ -329,18 +312,7 @@ impl ResultStore {
     /// metrics snapshot taken right after reflects reality even when no
     /// eviction pass has run yet.
     pub fn resident_bytes(&self) -> u64 {
-        let mut total = 0u64;
-        if let Ok(entries) = fs::read_dir(&self.dir) {
-            for e in entries.flatten() {
-                let name = e.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let Some(hex) = name.strip_suffix(".jsonl") else { continue };
-                if u64::from_str_radix(hex, 16).is_err() {
-                    continue;
-                }
-                total += e.metadata().map(|m| m.len()).unwrap_or(0);
-            }
-        }
+        let total = self.data_files().iter().map(|&(_, bytes)| bytes).sum();
         if let Some(m) = &self.metrics {
             m.resident_bytes.set(total);
         }
@@ -433,14 +405,14 @@ impl ResultStore {
     /// # Errors
     ///
     /// Propagates I/O errors from the appends.
-    pub fn publish(&self, fp: u64, key: &CellKey, result: &RunResult) -> Result<(), StoreError> {
+    pub fn publish(&self, fp: u64, key: &CellKey, result: &RunResult) -> Result<(), LogError> {
         let mut inner = self.lock();
         self.publish_locked(&mut inner, fp, key, result)?;
         self.published_cond.notify_all();
         Ok(())
     }
 
-    fn publish_leased(&self, fp: u64, key: &CellKey, result: &RunResult) -> Result<(), StoreError> {
+    fn publish_leased(&self, fp: u64, key: &CellKey, result: &RunResult) -> Result<(), LogError> {
         let mut inner = self.lock();
         inner.pending.remove(&(fp, key.clone()));
         let out = self.publish_locked(&mut inner, fp, key, result);
@@ -475,131 +447,99 @@ impl ResultStore {
         self.dir.join("lru.jsonl")
     }
 
-    fn err(path: &Path, op: &'static str, source: io::Error) -> StoreError {
-        StoreError { path: path.to_path_buf(), op, source }
+    /// `(fingerprint, bytes)` of every data file on disk.
+    fn data_files(&self) -> Vec<(u64, u64)> {
+        let Ok(entries) = fs::read_dir(&self.dir) else { return Vec::new() };
+        entries
+            .flatten()
+            .filter_map(|e| {
+                let name = e.file_name();
+                let fp = u64::from_str_radix(name.to_str()?.strip_suffix(".jsonl")?, 16).ok()?;
+                Some((fp, e.metadata().map_or(0, |m| m.len())))
+            })
+            .collect()
+    }
+
+    fn count_corrupt(&self, inner: &mut Inner, n: u64) {
+        inner.stats.corrupt_skipped += n;
+        if let Some(m) = &self.metrics {
+            m.corrupt_skipped.add(n);
+        }
     }
 
     /// Finds `(fp, key)` in the shard, decoding its record from the data
-    /// file on first access (CRC-verified; a bad record is dropped from
-    /// the index view and counts as a miss so the cell recomputes).
+    /// file on first access. A record that fails its seal, or an index
+    /// entry pointing at another cell's record, is dropped from the index
+    /// view and counts as a miss, so the cell recomputes.
     fn lookup(&self, inner: &mut Inner, fp: u64, key: &CellKey) -> Option<RunResult> {
-        self.load_shard(inner, fp);
+        self.load_shard(inner, fp).ok()?;
         let shard = inner.shards.get_mut(&fp)?;
         if let Some(r) = shard.decoded.get(key) {
             return Some(r.clone());
         }
-        let (offset, len) = *shard.offsets.get(key)?;
-        let path = self.data_path(fp);
-        match read_record(&path, offset, len) {
-            Ok(entry)
-                if entry.workload == key.workload
-                    && entry.variant == key.variant
-                    && entry.seed == key.seed =>
+        let span = shard.offsets.get(key)?.clone();
+        match shard.log.read_at(span).and_then(|line| journal::decode_line(&line)) {
+            Ok(Decoded::Entry(e))
+                if e.workload == key.workload && e.variant == key.variant && e.seed == key.seed =>
             {
-                let result = entry.result;
-                shard.decoded.insert(key.clone(), result.clone());
-                Some(result)
+                shard.decoded.insert(key.clone(), e.result.clone());
+                Some(e.result)
             }
-            Ok(_) => {
-                // The index pointed at a record for a different cell
-                // (crash between data and index appends can misalign a
-                // rebuilt index). Drop the lie; the cell recomputes.
+            _ => {
                 shard.offsets.remove(key);
-                inner.stats.corrupt_skipped += 1;
-                if let Some(m) = &self.metrics {
-                    m.corrupt_skipped.inc();
-                }
-                None
-            }
-            Err(_) => {
-                shard.offsets.remove(key);
-                inner.stats.corrupt_skipped += 1;
-                if let Some(m) = &self.metrics {
-                    m.corrupt_skipped.inc();
-                }
+                self.count_corrupt(inner, 1);
                 None
             }
         }
     }
 
-    /// Ensures the shard for `fp` is loaded: reads the index sidecar,
-    /// falls back to (and repairs from) a full data-file scan when the
-    /// index is missing or behind the data file.
-    fn load_shard(&self, inner: &mut Inner, fp: u64) {
+    /// Ensures the shard for `fp` is loaded: opens (and so repairs) its
+    /// data file, then reads the index sidecar, rebuilding it from a scan
+    /// of the data file when it does not cover exactly that file.
+    fn load_shard(&self, inner: &mut Inner, fp: u64) -> Result<(), LogError> {
         if inner.shards.contains_key(&fp) {
-            return;
+            return Ok(());
         }
-        let mut shard = Shard::default();
-        let data_path = self.data_path(fp);
-        let data_len = match fs::metadata(&data_path) {
-            Ok(m) => m.len(),
-            Err(_) => {
-                inner.shards.insert(fp, shard);
-                return;
-            }
-        };
-        // Header check: the first line must identify this store version
-        // and fingerprint. Anything else is a foreign or corrupt file —
-        // rotate it aside (never delete: mirror the journal's stale
-        // policy) and start empty.
-        match read_header_fp(&data_path) {
-            Some(h) if h == fp => {}
-            _ => {
-                let mut aside = data_path.as_os_str().to_os_string();
-                aside.push(".corrupt");
-                let _ = fs::rename(&data_path, PathBuf::from(aside));
-                let _ = fs::remove_file(self.index_path(fp));
-                inner.stats.corrupt_skipped += 1;
-                if let Some(m) = &self.metrics {
-                    m.corrupt_skipped.inc();
-                }
-                inner.shards.insert(fp, shard);
-                return;
-            }
+        let header =
+            format!("{{\"cmpsim_store\":{STORE_VERSION},\"fingerprint\":\"{fp:016x}\"}}\n");
+        let log = SealedLog::open_with(self.data_path(fp), header)?;
+        let idx_path = self.index_path(fp);
+        if log.rotated_to.is_some() {
+            let _ = fs::remove_file(&idx_path);
+            self.count_corrupt(inner, 1);
         }
-        shard.on_disk = true;
-        let mut covered = 0u64;
-        if let Ok(idx) = fs::read_to_string(self.index_path(fp)) {
-            for line in idx.lines() {
-                if let Some((key, offset, len)) = decode_index_line(line) {
-                    covered = covered.max(offset + u64::from(len));
-                    shard.offsets.insert(key, (offset, len));
+        let mut shard = Shard { log, offsets: HashMap::new(), decoded: HashMap::new() };
+        let data_len = fs::metadata(self.data_path(fp)).map_or(0, |m| m.len());
+        if data_len > 0 {
+            let mut covered = 0;
+            if let Ok(idx) = fs::read_to_string(&idx_path) {
+                for (key, span) in idx.lines().filter_map(decode_index_line) {
+                    covered = covered.max(span.end);
+                    shard.offsets.insert(key, span);
                 }
             }
-        }
-        if covered > data_len {
-            // The index claims more than the data file holds (truncated
-            // data, stale index): rebuild from scratch.
-            shard.offsets.clear();
-            covered = 0;
-        }
-        if data_len > covered {
-            // Data beyond index coverage (missing index, or a crash
-            // between the two appends): scan the tail and extend.
-            let (tail, base) = match scan_from(&data_path, covered) {
-                Ok(t) => t,
-                Err(_) => (Vec::new(), covered),
-            };
-            let _ = base;
-            let mut idx_lines = String::new();
-            for (key, offset, len, bad) in tail {
-                if bad {
-                    inner.stats.corrupt_skipped += 1;
-                    if let Some(m) = &self.metrics {
-                        m.corrupt_skipped.inc();
+            if covered != data_len {
+                shard.offsets.clear();
+                let scan = shard.log.scan().unwrap_or_default();
+                let mut corrupt = scan.skipped.len() as u64;
+                let mut index = String::new();
+                for rec in scan.records {
+                    match journal::decode_fields(rec.fields) {
+                        Ok(Decoded::Entry(e)) => {
+                            let key = CellKey::new(e.workload, e.variant, e.seed);
+                            index.push_str(&encode_index_line(&key, &rec.span));
+                            shard.offsets.insert(key, rec.span);
+                        }
+                        _ => corrupt += 1,
                     }
-                    continue;
                 }
-                idx_lines.push_str(&encode_index_line(&key, offset, len));
-                idx_lines.push('\n');
-                shard.offsets.insert(key, (offset, len));
+                self.count_corrupt(inner, corrupt);
+                let _ = metrics::write_atomic(&idx_path, &index);
             }
-            if !idx_lines.is_empty() {
-                let _ = append_bytes(&self.index_path(fp), idx_lines.as_bytes());
-            }
+            self.touch(inner, fp);
         }
-        self.touch(inner, fp);
         inner.shards.insert(fp, shard);
+        Ok(())
     }
 
     fn publish_locked(
@@ -608,44 +548,21 @@ impl ResultStore {
         fp: u64,
         key: &CellKey,
         result: &RunResult,
-    ) -> Result<(), StoreError> {
-        self.load_shard(inner, fp);
-        fs::create_dir_all(&self.dir).map_err(|e| Self::err(&self.dir, "create dir", e))?;
-        let data_path = self.data_path(fp);
-        let shard = inner.shards.entry(fp).or_default();
-        if !shard.on_disk {
-            // Header via tempfile + atomic rename: no reader can observe
-            // a half-written header.
-            let tmp = data_path.with_extension("tmp");
-            fs::write(
-                &tmp,
-                format!("{{\"cmpsim_store\":{STORE_VERSION},\"fingerprint\":\"{fp:016x}\"}}\n"),
-            )
-            .map_err(|e| Self::err(&tmp, "write header", e))?;
-            fs::rename(&tmp, &data_path).map_err(|e| Self::err(&data_path, "rename header", e))?;
-            shard.on_disk = true;
-        }
-        let entry = JournalEntry {
-            workload: key.workload.clone(),
-            variant: key.variant,
-            seed: key.seed,
-            result: result.clone(),
-        };
-        let mut line = journal::encode_entry(&entry);
-        line.push('\n');
-        // Data first, index second: a crash in between leaves the record
-        // recoverable by the tail scan in `load_shard`.
-        let offset = append_bytes(&data_path, line.as_bytes())
-            .map_err(|e| Self::err(&data_path, "append", e))?;
-        let len = line.len() as u32;
+    ) -> Result<(), LogError> {
+        self.load_shard(inner, fp)?;
+        let shard = inner.shards.get_mut(&fp).expect("shard loaded above");
+        // Data first, index second: a crash in between leaves an index
+        // short of the data file, which the next load rebuilds.
+        let body = journal::entry_body(&key.workload, key.variant, key.seed, result);
+        let span = shard.log.append(body)?;
         let idx_path = self.index_path(fp);
-        let mut idx_line = encode_index_line(key, offset, len);
-        idx_line.push('\n');
-        append_bytes(&idx_path, idx_line.as_bytes())
-            .map_err(|e| Self::err(&idx_path, "append index", e))?;
-
-        let shard = inner.shards.entry(fp).or_default();
-        shard.offsets.insert(key.clone(), (offset, len));
+        fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&idx_path)
+            .and_then(|mut f| f.write_all(encode_index_line(key, &span).as_bytes()))
+            .map_err(LogError::at(&idx_path, "append index"))?;
+        shard.offsets.insert(key.clone(), span);
         shard.decoded.insert(key.clone(), result.clone());
         inner.stats.published += 1;
         if let Some(m) = &self.metrics {
@@ -661,10 +578,12 @@ impl ResultStore {
         inner.touch_seq += 1;
         let seq = inner.touch_seq;
         inner.touched.insert(fp, seq);
-        let _ = append_bytes(
-            &self.lru_path(),
-            format!("{{\"fingerprint\":\"{fp:016x}\",\"touch\":{seq}}}\n").as_bytes(),
-        );
+        let line = format!("{{\"fingerprint\":\"{fp:016x}\",\"touch\":{seq}}}\n");
+        let _ = fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(self.lru_path())
+            .and_then(|mut f| f.write_all(line.as_bytes()));
     }
 
     fn load_lru(&self, inner: &mut Inner) {
@@ -689,18 +608,8 @@ impl ResultStore {
     /// files fit the budget. The fingerprint just published to
     /// (`keep_fp`) is never self-evicted mid-sweep.
     fn evict_to_budget(&self, inner: &mut Inner, keep_fp: u64) {
-        let mut sizes: Vec<(u64, u64)> = Vec::new(); // (fp, bytes)
-        let mut total = 0u64;
-        let Ok(entries) = fs::read_dir(&self.dir) else { return };
-        for e in entries.flatten() {
-            let name = e.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(hex) = name.strip_suffix(".jsonl") else { continue };
-            let Ok(fp) = u64::from_str_radix(hex, 16) else { continue };
-            let bytes = e.metadata().map(|m| m.len()).unwrap_or(0);
-            total += bytes;
-            sizes.push((fp, bytes));
-        }
+        let mut sizes = self.data_files();
+        let mut total: u64 = sizes.iter().map(|&(_, bytes)| bytes).sum();
         if total <= self.max_bytes {
             if let Some(m) = &self.metrics {
                 m.resident_bytes.set(total);
@@ -739,65 +648,38 @@ impl ResultStore {
         for (fp, seq) in survivors {
             compact.push_str(&format!("{{\"fingerprint\":\"{fp:016x}\",\"touch\":{seq}}}\n"));
         }
-        let tmp = self.lru_path().with_extension("tmp");
-        if fs::write(&tmp, compact).is_ok() {
-            let _ = fs::rename(&tmp, self.lru_path());
-        }
+        let _ = metrics::write_atomic(&self.lru_path(), &compact);
     }
 }
 
-/// Appends `bytes` as one `write_all` to `path` (creating it if needed)
-/// and returns the offset the write started at.
-fn append_bytes(path: &Path, bytes: &[u8]) -> io::Result<u64> {
-    let mut f = fs::OpenOptions::new().create(true).append(true).open(path)?;
-    let offset = f.seek(SeekFrom::End(0))?;
-    f.write_all(bytes)?;
-    Ok(offset)
-}
-
-/// Reads and CRC-verifies the sealed record at `offset..offset+len`.
-fn read_record(path: &Path, offset: u64, len: u32) -> Result<JournalEntry, String> {
-    let mut f = fs::File::open(path).map_err(|e| e.to_string())?;
-    f.seek(SeekFrom::Start(offset)).map_err(|e| e.to_string())?;
-    let mut buf = vec![0u8; len as usize];
-    f.read_exact(&mut buf).map_err(|e| e.to_string())?;
-    let line = std::str::from_utf8(&buf).map_err(|e| e.to_string())?;
-    match journal::decode_line(line.trim_end_matches('\n')) {
-        Ok(journal::Decoded::Entry(e)) => Ok(e),
-        Ok(journal::Decoded::Failure { .. }) => Err("failure record in store".to_string()),
-        Err(reason) => Err(reason),
+/// Validates a `CMPSIM_STORE_MAX_BYTES` value: a byte count, or empty
+/// for the default.
+fn parse_max_bytes(raw: &str) -> Result<u64, String> {
+    match raw.trim() {
+        "" => Ok(DEFAULT_MAX_BYTES),
+        v => match v.parse::<u64>() {
+            Ok(0) => {
+                Err("a zero budget would evict every other fingerprint on each publish".into())
+            }
+            Ok(n) => Ok(n),
+            Err(e) => Err(format!("not a byte count ({e})")),
+        },
     }
 }
 
-/// Parses the header line of a data file into its fingerprint, checking
-/// the store version.
-fn read_header_fp(path: &Path) -> Option<u64> {
-    let mut f = fs::File::open(path).ok()?;
-    let mut buf = [0u8; 128];
-    let n = f.read(&mut buf).ok()?;
-    let text = std::str::from_utf8(&buf[..n]).ok()?;
-    let line = text.lines().next()?;
-    let kvs = crate::flatjson::parse_flat(line)?;
-    let map: HashMap<_, _> = kvs.into_iter().collect();
-    if map.get("cmpsim_store").and_then(|v| v.as_u64()) != Some(STORE_VERSION) {
-        return None;
-    }
-    map.get("fingerprint")
-        .and_then(|v| v.as_str())
-        .and_then(|s| u64::from_str_radix(s, 16).ok())
-}
-
-fn encode_index_line(key: &CellKey, offset: u64, len: u32) -> String {
+fn encode_index_line(key: &CellKey, span: &Range<u64>) -> String {
     debug_assert!(!key.workload.contains(['"', '\\']), "workload names are plain identifiers");
     format!(
-        "{{\"workload\":\"{}\",\"variant\":\"{}\",\"seed\":{},\"offset\":{offset},\"len\":{len}}}",
+        "{{\"workload\":\"{}\",\"variant\":\"{}\",\"seed\":{},\"offset\":{},\"len\":{}}}\n",
         key.workload,
         key.variant.label(),
-        key.seed
+        key.seed,
+        span.start,
+        span.end - span.start
     )
 }
 
-fn decode_index_line(line: &str) -> Option<(CellKey, u64, u32)> {
+fn decode_index_line(line: &str) -> Option<(CellKey, Range<u64>)> {
     let kvs = crate::flatjson::parse_flat(line)?;
     let map: HashMap<_, _> = kvs.into_iter().collect();
     let workload = map.get("workload")?.as_str()?.to_string();
@@ -805,45 +687,8 @@ fn decode_index_line(line: &str) -> Option<(CellKey, u64, u32)> {
     let variant = *Variant::all().iter().find(|v| v.label() == label)?;
     let seed = map.get("seed")?.as_u64()?;
     let offset = map.get("offset")?.as_u64()?;
-    let len = u32::try_from(map.get("len")?.as_u64()?).ok()?;
-    Some((CellKey { workload, variant, seed }, offset, len))
-}
-
-/// Reads data-file lines starting at byte `from`, returning
-/// `(key, offset, len, crc_failed)` per line (the header line, when
-/// included, is skipped) plus the file length scanned to.
-#[allow(clippy::type_complexity)]
-fn scan_from(path: &Path, from: u64) -> io::Result<(Vec<(CellKey, u64, u32, bool)>, u64)> {
-    let text = fs::read_to_string(path)?;
-    let mut out = Vec::new();
-    let mut offset = 0u64;
-    for line in text.split_inclusive('\n') {
-        let len = line.len() as u64;
-        let start = offset;
-        offset += len;
-        if start < from || !line.ends_with('\n') {
-            continue; // already indexed, or a torn tail (recomputes)
-        }
-        let trimmed = line.trim_end_matches('\n');
-        if trimmed.contains("\"cmpsim_store\"") {
-            continue; // header
-        }
-        match journal::decode_line(trimmed) {
-            Ok(journal::Decoded::Entry(e)) => out.push((
-                CellKey { workload: e.workload, variant: e.variant, seed: e.seed },
-                start,
-                len as u32,
-                false,
-            )),
-            _ => out.push((
-                CellKey::new("?", Variant::Base, u64::MAX),
-                start,
-                len as u32,
-                true,
-            )),
-        }
-    }
-    Ok((out, offset))
+    let end = offset.checked_add(map.get("len")?.as_u64()?)?;
+    Some((CellKey { workload, variant, seed }, offset..end))
 }
 
 #[cfg(test)]
@@ -1019,6 +864,20 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
+    /// `CMPSIM_STORE_MAX_BYTES` used to be parsed with `.parse().ok()`:
+    /// `512MiB` silently meant the default and `0` a 1-byte budget that
+    /// evicted every other fingerprint on each publish.
+    #[test]
+    fn max_bytes_rejects_malformed_and_zero_budgets() {
+        assert_eq!(parse_max_bytes("1048576"), Ok(1 << 20));
+        assert_eq!(parse_max_bytes(" 4096 "), Ok(4096));
+        assert_eq!(parse_max_bytes(""), Ok(DEFAULT_MAX_BYTES), "empty means the default");
+        assert_eq!(parse_max_bytes("  "), Ok(DEFAULT_MAX_BYTES));
+        assert!(parse_max_bytes("512MiB").unwrap_err().contains("not a byte count"));
+        assert!(parse_max_bytes("-1").unwrap_err().contains("not a byte count"));
+        assert!(parse_max_bytes("0").unwrap_err().contains("zero budget"));
+    }
+
     #[test]
     fn foreign_data_file_is_rotated_aside_not_served() {
         let dir = temp_store("foreign");
@@ -1028,7 +887,10 @@ mod tests {
         let store = ResultStore::with_capacity(&dir, u64::MAX);
         assert_eq!(store.get(0x9, &CellKey::new("apsi", Variant::Base, 1)), None);
         assert!(!data.exists());
-        assert!(dir.join(format!("{:016x}.jsonl.corrupt", 0x9)).exists(), "preserved, not deleted");
+        assert!(
+            dir.join(format!("{:016x}.jsonl.stale.{:016x}", 0x9, 0x9)).exists(),
+            "preserved, not deleted"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 }

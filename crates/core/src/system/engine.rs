@@ -441,8 +441,9 @@ impl System {
     }
 
     /// Writes the buffered series artifact (header + samples) to the
-    /// trace's output directory, once per run. Failures are reported to
-    /// stderr and never affect the simulation result.
+    /// trace's output directory, once per run, through a tempfile and
+    /// rename so `timeline --check` never reads a torn file. Failures are
+    /// reported to stderr and never affect the simulation result.
     fn flush_telemetry(&mut self) {
         if self.telemetry_flushed {
             return;
@@ -471,9 +472,7 @@ impl System {
             t.recorder.dropped(),
         );
         let body = format!("{header}\n{}", t.series.to_jsonl());
-        if let Err(e) = std::fs::create_dir_all(&dir)
-            .and_then(|()| std::fs::write(&path, body))
-        {
+        if let Err(e) = cmpsim_harness::metrics::write_atomic(&path, &body) {
             eprintln!("cmpsim: telemetry write to {} failed: {e}", path.display());
         }
     }

@@ -12,6 +12,7 @@
 //! them back, so a traced run and an untraced run compute bit-identical
 //! [`crate::RunResult`]s (asserted by `tests/telemetry.rs`).
 
+use cmpsim_harness::metrics;
 use cmpsim_harness::telemetry::{self, FlightRecorder, Record, SeriesBuffer};
 use std::path::PathBuf;
 
@@ -207,7 +208,7 @@ impl Default for TraceOptions {
         TraceOptions {
             ring_capacity: DEFAULT_RING_CAPACITY,
             sample_period: DEFAULT_SAMPLE_PERIOD,
-            out_dir: Some(telemetry::telemetry_dir()),
+            out_dir: Some(metrics::artifact_dir("CMPSIM_TELEMETRY_DIR", "telemetry")),
         }
     }
 }

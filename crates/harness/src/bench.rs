@@ -23,7 +23,7 @@
 //! }
 //! ```
 
-use std::fs;
+use crate::metrics;
 use std::hint::black_box;
 use std::io;
 use std::path::PathBuf;
@@ -162,42 +162,20 @@ impl Runner {
         s
     }
 
-    /// Writes the JSON artifact to `target/bench/<suite>.json` and returns
-    /// its path.
+    /// Writes the JSON artifact to `<suite>.json` under the bench
+    /// artifact dir (`CMPSIM_BENCH_DIR`, else `target/bench/`; see
+    /// [`metrics::artifact_dir`]) through [`metrics::write_atomic`], so a
+    /// killed run never leaves a torn artifact. Returns its path.
     ///
     /// # Errors
     ///
     /// Propagates filesystem errors from creating the directory or file.
     pub fn write_json(&self) -> io::Result<PathBuf> {
-        let dir = bench_dir();
-        fs::create_dir_all(&dir)?;
-        let path = dir.join(format!("{}.json", self.suite));
-        fs::write(&path, self.to_json())?;
+        let path =
+            metrics::artifact_dir("CMPSIM_BENCH_DIR", "bench").join(format!("{}.json", self.suite));
+        metrics::write_atomic(&path, &self.to_json())?;
         println!("bench artifact: {}", path.display());
         Ok(path)
-    }
-}
-
-/// Resolves the artifact directory: `CMPSIM_BENCH_DIR`, else
-/// `$CARGO_TARGET_DIR/bench`, else the nearest enclosing `target/`
-/// directory (benches run with the crate, not the workspace, as cwd),
-/// else `./target/bench`.
-fn bench_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("CMPSIM_BENCH_DIR") {
-        return PathBuf::from(d);
-    }
-    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
-        return PathBuf::from(d).join("bench");
-    }
-    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let cand = cur.join("target");
-        if cand.is_dir() {
-            return cand.join("bench");
-        }
-        if !cur.pop() {
-            return PathBuf::from("target/bench");
-        }
     }
 }
 

@@ -37,7 +37,7 @@
 
 use std::collections::BTreeMap;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -478,12 +478,36 @@ impl MetricsSnapshot {
     }
 }
 
-// ----------------------------------------------------------- atomic file
+// -------------------------------------------------------- artifact files
+
+/// Resolves an artifact directory: the `env_var` override, else
+/// `$CARGO_TARGET_DIR/<leaf>`, else `<leaf>` under the nearest enclosing
+/// `target/` directory (benches run with their crate, not the
+/// workspace, as cwd), else `./target/<leaf>`.
+pub fn artifact_dir(env_var: &str, leaf: &str) -> PathBuf {
+    if let Ok(d) = std::env::var(env_var) {
+        return PathBuf::from(d);
+    }
+    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
+        return PathBuf::from(d).join(leaf);
+    }
+    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
+    loop {
+        let cand = cur.join("target");
+        if cand.is_dir() {
+            return cand.join(leaf);
+        }
+        if !cur.pop() {
+            return Path::new("target").join(leaf);
+        }
+    }
+}
 
 /// Writes `contents` to `path` through a sibling tempfile and an atomic
-/// rename — the same discipline as store/journal headers — so a reader
-/// (or a killed writer) can never observe a torn file. Parent
-/// directories are created as needed.
+/// rename, so a reader (or a killed writer) can never observe a torn
+/// file: sealed-log headers, the store's LRU compaction, bench and
+/// telemetry artifacts all land this way. Parent directories are
+/// created as needed.
 ///
 /// # Errors
 ///
@@ -496,7 +520,7 @@ pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
     }
     let mut tmp = path.as_os_str().to_os_string();
     tmp.push(".tmp");
-    let tmp = std::path::PathBuf::from(tmp);
+    let tmp = PathBuf::from(tmp);
     std::fs::write(&tmp, contents)?;
     std::fs::rename(&tmp, path)
 }

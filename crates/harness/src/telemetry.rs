@@ -15,12 +15,11 @@
 //!   tracing; [`trace_enabled`] caches the answer so the disabled path in
 //!   the engine is a branch on a cached bool.
 //! - `CMPSIM_TELEMETRY_DIR` — where JSONL artifacts land (default
-//!   `target/telemetry/`, resolved like the bench artifact dir).
+//!   `target/telemetry/`, resolved by [`crate::metrics::artifact_dir`]).
 //! - `CMPSIM_PROGRESS` — `1` forces the grid heartbeat on, `0` forces it
 //!   off; unset, it turns on only when stderr is a terminal.
 
 use std::io::IsTerminal;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
@@ -37,28 +36,6 @@ pub fn trace_enabled() -> bool {
     *ON.get_or_init(|| {
         std::env::var("CMPSIM_TRACE").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
     })
-}
-
-/// Resolves the telemetry artifact directory: `CMPSIM_TELEMETRY_DIR`,
-/// else `$CARGO_TARGET_DIR/telemetry`, else the nearest enclosing
-/// `target/` directory, else `./target/telemetry`.
-pub fn telemetry_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("CMPSIM_TELEMETRY_DIR") {
-        return PathBuf::from(d);
-    }
-    if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
-        return PathBuf::from(d).join("telemetry");
-    }
-    let mut cur = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-    loop {
-        let cand = cur.join("target");
-        if cand.is_dir() {
-            return cand.join("telemetry");
-        }
-        if !cur.pop() {
-            return PathBuf::from("target/telemetry");
-        }
-    }
 }
 
 /// Monotonic sequence for artifact file names, so concurrent grid cells
@@ -208,18 +185,6 @@ impl SeriesBuffer {
             s.push('\n');
         }
         s
-    }
-
-    /// Writes the buffer to `path`, creating parent directories.
-    ///
-    /// # Errors
-    ///
-    /// Propagates filesystem errors.
-    pub fn write_to(&self, path: &std::path::Path) -> std::io::Result<()> {
-        if let Some(parent) = path.parent() {
-            std::fs::create_dir_all(parent)?;
-        }
-        std::fs::write(path, self.to_jsonl())
     }
 }
 

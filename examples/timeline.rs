@@ -217,7 +217,7 @@ fn main() {
     let path = match explicit {
         Some(p) => PathBuf::from(p),
         None => {
-            let dir = cmpsim_harness::telemetry::telemetry_dir();
+            let dir = cmpsim_harness::metrics::artifact_dir("CMPSIM_TELEMETRY_DIR", "telemetry");
             newest_artifact(&dir).unwrap_or_else(|| {
                 fail(&format!(
                     "no .jsonl artifacts under {} — run a simulation with CMPSIM_TRACE=1 first",
