@@ -1,5 +1,6 @@
-//! Ablation: serial vs parallel execution of the paper's 8×4 experiment
-//! grid (8 workloads × {base, compression, prefetching, both}).
+//! Ablation: the grid driver on one worker vs several, over the paper's
+//! 8×4 experiment grid (8 workloads × {base, compression, prefetching,
+//! both}).
 //!
 //! Asserts bit-identical results at every thread count, then times both
 //! paths and writes wall-clock speedups to
@@ -8,15 +9,12 @@
 //! box every configuration measures ~1×.
 
 use cmpsim_bench::SEED;
-use cmpsim_core::experiment::{run_grid_parallel, run_grid_serial, SimLength};
+use cmpsim_core::experiment::{run_grid_resilient, GridCell, ResilienceOptions, SimLength};
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_harness::bench::Runner;
-use cmpsim_harness::pool::default_threads;
+use cmpsim_harness::supervise::default_threads;
+use cmpsim_harness::{env_u64, Supervisor};
 use cmpsim_trace::all_workloads;
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
-}
 
 fn main() {
     let base = SystemConfig::paper_default(8).with_seed(SEED);
@@ -34,23 +32,29 @@ fn main() {
         Variant::PrefetchCompression,
     ];
 
+    // The grid on `threads` workers, failing fast.
+    let grid = |threads| -> Vec<GridCell> {
+        let opts = ResilienceOptions {
+            supervisor: Supervisor::with_threads(threads),
+            ..ResilienceOptions::default()
+        };
+        run_grid_resilient(&specs, &base, &variants, len, &opts)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .unwrap()
+    };
+
     let mut r = Runner::new("abl_parallel_grid", 1, 3);
 
-    let reference = run_grid_serial(&specs, &base, &variants, len).unwrap();
+    let reference = grid(1);
     assert_eq!(reference.len(), specs.len() * variants.len());
 
-    let serial_ns = r
-        .bench("grid/serial", || run_grid_serial(&specs, &base, &variants, len).unwrap())
-        .median_ns;
+    let serial_ns = r.bench("grid/serial", || grid(1)).median_ns;
 
     for threads in [1usize, 2, 8] {
-        let cells = run_grid_parallel(&specs, &base, &variants, len, threads).unwrap();
+        let cells = grid(threads);
         assert_eq!(reference, cells, "parallel grid diverged at {threads} threads");
-        let par_ns = r
-            .bench(&format!("grid/parallel_{threads}t"), || {
-                run_grid_parallel(&specs, &base, &variants, len, threads).unwrap()
-            })
-            .median_ns;
+        let par_ns = r.bench(&format!("grid/parallel_{threads}t"), || grid(threads)).median_ns;
         r.metric(&format!("grid_speedup_{threads}t"), serial_ns as f64 / par_ns as f64);
     }
 

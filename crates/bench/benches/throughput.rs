@@ -11,7 +11,7 @@
 //! are comparable.
 
 use cmpsim_bench::SEED;
-use cmpsim_core::experiment::{run_grid_serial, GridCell, SimLength};
+use cmpsim_core::experiment::{run_grid_resilient, GridCell, ResilienceOptions, SimLength};
 use cmpsim_core::report::{
     codec_throughput_summary, codec_throughput_table, measure_codec_throughput,
     throughput_summary,
@@ -19,14 +19,11 @@ use cmpsim_core::report::{
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_fpc::{CodecKind, LINE_BYTES};
 use cmpsim_harness::bench::Runner;
+use cmpsim_harness::{env_u64, Supervisor};
 use cmpsim_trace::{all_workloads, LineClass};
 
 const VARIANTS: [Variant; 4] =
     [Variant::Base, Variant::BothCompression, Variant::Prefetch, Variant::PrefetchCompression];
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
-}
 
 fn main() {
     // Smoke lengths by default (the CI baseline grid); the figure
@@ -39,6 +36,11 @@ fn main() {
     let specs = all_workloads();
     let base = SystemConfig::paper_default(4).with_seed(SEED);
 
+    // One worker: per-variant host rates are measured single-threaded.
+    let serial = ResilienceOptions {
+        supervisor: Supervisor::with_threads(1),
+        ..ResilienceOptions::default()
+    };
     let mut r = Runner::new("throughput", 1, 3);
     let mut all_cells: Vec<GridCell> = Vec::new();
 
@@ -46,7 +48,10 @@ fn main() {
         let label = format!("{variant:?}");
         let mut cells: Vec<GridCell> = Vec::new();
         r.bench_with(&format!("grid/{label}"), 1, 3, || {
-            cells = run_grid_serial(&specs, &base, &[variant], len).expect("simulation failed");
+            cells = run_grid_resilient(&specs, &base, &[variant], len, &serial)
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .expect("simulation failed");
             cells.len()
         });
         // Per-variant throughput from the engine's own counters, taken

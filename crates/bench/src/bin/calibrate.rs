@@ -7,9 +7,9 @@
 //! ```
 
 use cmpsim_bench::{paper, sim_length, SEED};
+use cmpsim_core::experiment::{run_cells_resilient, ResilienceOptions};
 use cmpsim_core::report::Table;
 use cmpsim_core::{System, SystemConfig, Variant};
-use cmpsim_harness::pool;
 use cmpsim_link::LinkBandwidth;
 use cmpsim_trace::all_workloads;
 
@@ -25,25 +25,27 @@ fn main() {
 
     // Each workload needs two independent runs (base on an infinite
     // link for bandwidth *demand*, cache-compression for the ratio);
-    // fan the whole set out across cores.
-    let jobs: Vec<_> = specs
-        .iter()
-        .map(|spec| {
-            let base = &base;
-            move || {
-                let cfg =
-                    Variant::Base.apply(base.clone()).with_link(LinkBandwidth::Infinite);
-                let mut sys = System::new(cfg, spec);
-                let r = sys.run(len.warmup, len.measure).expect("simulation failed");
-
-                let ccfg = Variant::CacheCompression.apply(base.clone());
-                let mut csys = System::new(ccfg, spec);
-                let cr = csys.run(len.warmup, len.measure).expect("simulation failed");
-                (r, cr)
+    // the grid driver fans the whole set out across cores. There is no
+    // journal or store, so the sweep needs no fingerprint.
+    let variants = [Variant::Base, Variant::CacheCompression];
+    let cells = run_cells_resilient(
+        &specs,
+        &base,
+        &variants,
+        0,
+        &ResilienceOptions::default(),
+        move |spec, base, variant| {
+            let mut cfg = variant.apply(base.clone());
+            if variant == Variant::Base {
+                cfg = cfg.with_link(LinkBandwidth::Infinite);
             }
-        })
-        .collect();
-    let results = pool::run_indexed(pool::default_threads(), jobs);
+            System::new(cfg, spec).run(len.warmup, len.measure)
+        },
+    )
+    .into_iter()
+    .collect::<Result<Vec<_>, _>>()
+    .expect("simulation failed");
+    let results = cells.chunks(variants.len()).map(|c| (&c[0].result, &c[1].result));
 
     let mut t = Table::new(&[
         "bench", "IPC", "L1I mpki", "L1D mpki", "L2 mpki", "GB/s", "GB/s(paper)", "ratio",

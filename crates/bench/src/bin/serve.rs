@@ -31,7 +31,11 @@
 //! Per-cell responses carry the cell's source (`store` or `computed`)
 //! and its headline counters; the closing summary reports the store
 //! hit rate for exactly this sweep plus the full [`StoreStats`] delta
-//! (published/lease-wait/eviction/resident-byte telemetry).
+//! (published/lease-wait/eviction/resident-byte telemetry). A sweep
+//! with a failing cell (a simulation error, a panic, or a blown
+//! `CMPSIM_CELL_DEADLINE_MS`) is answered with a single `error` line
+//! naming the first failing cell in row-major order, counted under
+//! `serve_errors` and logged as a `sweep_error`.
 //! `{"metrics":1}` answers with one flat-JSON line snapshotting the
 //! whole service-metric registry (`store_*`, `grid_*`, `serve_*`
 //! counters, gauges and latency quantiles); the `prometheus` format
@@ -51,12 +55,14 @@
 //!   | CMPSIM_STORE=target/store cargo run --release -p cmpsim-bench --bin serve
 //! ```
 
-use cmpsim_core::experiment::{run_grid_parallel_store, SimLength};
+use cmpsim_core::experiment::{run_grid_resilient, GridCell, ResilienceOptions, SimLength};
 use cmpsim_core::flatjson::{parse_flat, JsonVal};
 use cmpsim_core::seallog::SealedLog;
 use cmpsim_core::store::{CellKey, ResultStore};
 use cmpsim_core::{journal, CodecKind, SystemConfig, Variant};
 use cmpsim_harness::metrics::{self, Counter, Histogram};
+use cmpsim_harness::supervise::default_threads;
+use cmpsim_harness::Supervisor;
 use cmpsim_trace::{all_workloads, WorkloadSpec};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -205,17 +211,19 @@ fn parse_request(line: &str) -> Result<Parsed, String> {
     };
     let threads = num_field("threads")
         .map(|t| (t as usize).max(1))
-        .unwrap_or_else(cmpsim_harness::pool::default_threads);
+        .unwrap_or_else(default_threads);
     Ok(Parsed::Sweep(Box::new(Request { sweep, specs, variants, base, len, threads })))
 }
 
 /// Runs one sweep against the shared store, streaming JSONL to `out`.
-/// Returns the number of cell records streamed.
+/// Returns the number of cell records streamed, or `None` when a cell
+/// failed: then the only line streamed is an error naming the first
+/// failing cell in row-major order.
 fn serve_sweep(
     req: &Request,
     store: &Arc<ResultStore>,
     out: &mut dyn Write,
-) -> std::io::Result<usize> {
+) -> std::io::Result<Option<usize>> {
     let fp = journal::fingerprint(&req.base, req.len);
     // Label each cell's source up front with a counter-neutral probe, so
     // the summary's hit/miss telemetry reflects only the sweep itself.
@@ -229,21 +237,27 @@ fn serve_sweep(
         })
         .collect();
     let before = store.stats();
-    let sweep_result = run_grid_parallel_store(
-        &req.specs,
-        &req.base,
-        &req.variants,
-        req.len,
-        req.threads,
-        store,
-    );
+    let opts = ResilienceOptions {
+        supervisor: Supervisor::with_threads(req.threads),
+        journal: None,
+        store: Some(Arc::clone(store)),
+    };
+    let sweep_result: Result<Vec<GridCell>, _> =
+        run_grid_resilient(&req.specs, &req.base, &req.variants, req.len, &opts)
+            .into_iter()
+            .collect();
     let after = store.stats();
     let cells = match sweep_result {
         Ok(cells) => cells,
         Err(e) => {
-            writeln!(out, "{{\"sweep\":\"{}\",\"error\":\"{}\"}}", req.sweep, sanitize(&e.to_string()))?;
+            writeln!(
+                out,
+                "{{\"sweep\":\"{}\",\"error\":\"{}\"}}",
+                req.sweep,
+                sanitize(&e.to_string())
+            )?;
             out.flush()?;
-            return Ok(0);
+            return Ok(None);
         }
     };
     for (cell, was_stored) in cells.iter().zip(&stored_before) {
@@ -283,7 +297,7 @@ fn serve_sweep(
         store.resident_bytes(),
     )?;
     out.flush()?;
-    Ok(cells.len())
+    Ok(Some(cells.len()))
 }
 
 /// Answers `{"metrics":1}`: refreshes the store-occupancy gauge, then
@@ -331,11 +345,18 @@ fn serve_stream(
             Ok(Parsed::Sweep(req)) => {
                 let cells = serve_sweep(&req, store, out)?;
                 if let Some(m) = &ctx.metrics {
-                    m.sweeps.inc();
-                    m.cells.add(cells as u64);
+                    match cells {
+                        Some(n) => {
+                            m.sweeps.inc();
+                            m.cells.add(n as u64);
+                        }
+                        None => m.errors.inc(),
+                    }
                     m.request_nanos.record_elapsed(t0);
                 }
-                ctx.log_request(req_id, "sweep", &sanitize(&req.sweep), cells, t0);
+                let kind = if cells.is_some() { "sweep" } else { "sweep_error" };
+                let cells = cells.unwrap_or(0);
+                ctx.log_request(req_id, kind, &sanitize(&req.sweep), cells, t0);
             }
             Ok(Parsed::Metrics { prometheus }) => {
                 serve_metrics(store, prometheus, out)?;

@@ -5,9 +5,9 @@
 //! set and paper reference values defined here so EXPERIMENTS.md can be
 //! rebuilt with `cargo bench`.
 
-use cmpsim_core::experiment::{run_grid_parallel, SimLength, VariantGrid};
+use cmpsim_core::experiment::{run_grid_resilient, ResilienceOptions, SimLength, VariantGrid};
 use cmpsim_core::{SystemConfig, Variant};
-use cmpsim_harness::pool::default_threads;
+use cmpsim_harness::env_u64;
 use cmpsim_trace::{all_workloads, WorkloadSpec};
 
 /// Paper reference values used in the `paper` columns of the harnesses.
@@ -30,20 +30,16 @@ pub fn sim_length() -> SimLength {
     SimLength { warmup, measure }
 }
 
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
-}
-
 /// Runs `variants` for every paper workload, fanning the whole
 /// `workloads × variants` grid out across cores, and returns one
 /// [`VariantGrid`] per workload in presentation order.
 ///
 /// Results are bit-identical to calling `VariantGrid::run` per workload
 /// (see the determinism contract on
-/// [`run_grid_parallel`]); the figure/table
-/// harnesses use this so regenerating EXPERIMENTS.md scales with the
-/// machine. Thread count comes from `CMPSIM_THREADS` (default: all
-/// cores).
+/// [`run_cells_resilient`](cmpsim_core::experiment::run_cells_resilient));
+/// the figure/table harnesses use this so regenerating EXPERIMENTS.md
+/// scales with the machine. Thread count comes from `CMPSIM_THREADS`
+/// (default: all cores).
 pub fn parallel_grids(
     base: &SystemConfig,
     variants: &[Variant],
@@ -60,7 +56,9 @@ pub fn parallel_grids_for(
     variants: &[Variant],
     len: SimLength,
 ) -> Vec<(WorkloadSpec, VariantGrid)> {
-    let cells = run_grid_parallel(&specs, base, variants, len, default_threads())
+    let cells = run_grid_resilient(&specs, base, variants, len, &ResilienceOptions::default())
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
         .expect("simulation failed");
     // To stderr: stdout (the paper tables) must stay byte-identical
     // across thread counts and runs, and this line carries wall-clock.

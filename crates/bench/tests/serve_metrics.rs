@@ -17,7 +17,7 @@ fn temp_dir(name: &str) -> PathBuf {
     dir
 }
 
-fn spawn_serve(store: &PathBuf, access_log: Option<&PathBuf>) -> Child {
+fn serve_command(store: &PathBuf, access_log: Option<&PathBuf>) -> Command {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_serve"));
     cmd.env("CMPSIM_STORE", store)
         .stdin(Stdio::piped())
@@ -26,7 +26,11 @@ fn spawn_serve(store: &PathBuf, access_log: Option<&PathBuf>) -> Child {
     if let Some(log) = access_log {
         cmd.arg("--access-log").arg(log);
     }
-    cmd.spawn().expect("spawn serve daemon")
+    cmd
+}
+
+fn spawn_serve(store: &PathBuf, access_log: Option<&PathBuf>) -> Child {
+    serve_command(store, access_log).spawn().expect("spawn serve daemon")
 }
 
 const SWEEP: &str = "{\"sweep\":\"t\",\"workloads\":\"apsi\",\"variants\":\"base\",\
@@ -156,6 +160,54 @@ fn killed_daemon_leaves_a_recoverable_access_log() {
     let again = seallog::read(&log).expect("log still reads after restart");
     assert!(again.records.len() > records_before, "restart appended to the same log");
     assert!(!log.with_extension("jsonl.stale").exists() && !dir.join("access.jsonl.stale").exists());
+
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A sweep with a failing cell is an error, not a sweep: the reply is
+/// one error line naming the first failing cell, the registry counts it
+/// under `serve_errors` (not `serve_sweeps`), and the access log records
+/// it as a `sweep_error`. Chaos at rate 1.0 drops every link message, so
+/// the cell exhausts its retransmission budget.
+#[test]
+fn failed_sweep_counts_as_an_error() {
+    let dir = temp_dir("failed-sweep");
+    let store = dir.join("store");
+    let log = dir.join("access.jsonl");
+    let mut child = serve_command(&store, Some(&log))
+        .env("CMPSIM_CHAOS", "1:1.0")
+        .spawn()
+        .expect("spawn serve daemon");
+    let mut stdin = child.stdin.take().expect("stdin");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout"));
+
+    writeln!(
+        stdin,
+        "{{\"sweep\":\"doomed\",\"workloads\":\"apsi\",\"variants\":\"pf+compr\",\
+         \"cores\":2,\"warmup\":1000,\"measure\":4000,\"threads\":1}}"
+    )
+    .expect("send sweep");
+    writeln!(stdin, "{{\"metrics\":1}}").expect("send metrics query");
+    drop(stdin);
+    let lines: Vec<String> = stdout.lines().map(|l| l.expect("read")).collect();
+    assert!(child.wait().expect("daemon exits").success());
+
+    let replies: Vec<&String> = lines.iter().filter(|l| l.starts_with("{\"sweep\"")).collect();
+    assert_eq!(replies.len(), 1, "one error line and nothing else: {lines:?}");
+    let named = "{\"sweep\":\"doomed\",\"error\":\"cell (apsi, pf+compr) failed";
+    assert!(replies[0].starts_with(named), "the error names the failing cell: {}", replies[0]);
+
+    let snapshot = lines.iter().find(|l| l.starts_with("{\"metrics\":1")).expect("metrics line");
+    let kvs = parse_flat(snapshot).expect("snapshot is valid flat JSON");
+    let get = |k: &str| kvs.iter().find(|(name, _)| name == k).and_then(|(_, v)| v.as_u64());
+    assert_eq!(get("serve_errors"), Some(1), "{snapshot}");
+    assert_eq!(get("serve_sweeps"), Some(0), "{snapshot}");
+    assert_eq!(get("serve_cells"), Some(0), "{snapshot}");
+
+    let got = seallog::read(&log).expect("access log reads");
+    let first = got.records.first().expect("the request was logged");
+    let kind = first.iter().find(|(name, _)| name == "kind").and_then(|(_, v)| v.as_str());
+    assert_eq!(kind, Some("sweep_error"));
 
     let _ = std::fs::remove_dir_all(&dir);
 }

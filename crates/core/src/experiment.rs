@@ -1,11 +1,12 @@
-//! Experiment drivers: run the paper's configuration grid over a
-//! workload, with multiple seeds for confidence intervals, serially,
-//! fanned out across cores, or supervised with per-cell fault isolation
-//! and checkpoint/resume ([`run_grid_resilient`]).
+//! The experiment grid driver: runs the paper's configuration grid
+//! (`workloads × variants`) on the supervised job executor, with
+//! per-cell fault isolation, checkpoint/resume and result-store reuse
+//! ([`run_cells_resilient`], and its [`run_variant`] shorthand
+//! [`run_grid_resilient`]), plus multi-seed confidence intervals.
 
 use crate::config::{SystemConfig, Variant};
 use crate::error::{CellError, SimError};
-use crate::journal::{self, Journal, JournalEntry};
+use crate::journal::{self, Journal, JournalEntry, JournalSnapshot};
 use crate::metrics;
 use crate::stats::RunResult;
 use crate::store::{CellKey, Lease, ResultStore};
@@ -20,7 +21,7 @@ use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// Service-metric handles for the grid drivers, registered in the global
+/// Service-metric handles for the grid driver, registered in the global
 /// [`svc_metrics`] registry under `grid_*` names. `None` when
 /// `CMPSIM_METRICS=0`. Observe-only, like [`GridProgress`]: recording
 /// feeds nothing back into scheduling or results.
@@ -36,12 +37,12 @@ struct GridMetrics {
 }
 
 impl GridMetrics {
-    fn arm() -> Option<Arc<GridMetrics>> {
+    fn arm() -> Option<GridMetrics> {
         if !svc_metrics::enabled() {
             return None;
         }
         let r = svc_metrics::global();
-        Some(Arc::new(GridMetrics {
+        Some(GridMetrics {
             computed: r.counter("grid_cells_computed"),
             cached: r.counter("grid_cells_cached"),
             failed: r.counter("grid_cells_failed"),
@@ -50,7 +51,7 @@ impl GridMetrics {
             quarantined: r.counter("grid_cells_quarantined"),
             compute_nanos: r.histogram("grid_cell_compute_nanos"),
             queue_depth: r.gauge("grid_queue_depth"),
-        }))
+        })
     }
 }
 
@@ -104,27 +105,27 @@ pub struct VariantGrid {
 
 impl VariantGrid {
     /// Assembles a grid from already-computed `(variant, result)` cells —
-    /// e.g. one workload's slice of a [`run_grid_parallel`] sweep.
+    /// e.g. one workload's slice of a [`run_grid_resilient`] sweep.
     pub fn from_cells(cells: impl IntoIterator<Item = (Variant, RunResult)>) -> Self {
         VariantGrid { results: cells.into_iter().collect() }
     }
 
-    /// Runs every variant in `variants` for `spec`.
+    /// Runs every variant in `variants` for `spec`: a one-workload
+    /// [`run_grid_resilient`] sweep with default options.
     ///
     /// # Errors
     ///
-    /// Propagates the first [`SimError`] any cell hits.
+    /// The first failing cell, in `variants` order.
     pub fn run(
         spec: &WorkloadSpec,
         base: &SystemConfig,
         variants: &[Variant],
         len: SimLength,
-    ) -> Result<Self, SimError> {
-        let mut results = HashMap::new();
-        for &v in variants {
-            results.insert(v, run_variant(spec, base, v, len)?);
-        }
-        Ok(VariantGrid { results })
+    ) -> Result<Self, CellError> {
+        let opts = ResilienceOptions::default();
+        let cells = run_grid_resilient(std::slice::from_ref(spec), base, variants, len, &opts);
+        let results = cells.into_iter().map(|c| c.map(|c| (c.variant, c.result)));
+        Ok(VariantGrid { results: results.collect::<Result<_, _>>()? })
     }
 
     /// The result for a variant, if it was part of the grid. Use this in
@@ -178,223 +179,11 @@ pub struct GridCell {
     pub result: RunResult,
 }
 
-/// Runs the full `workloads × variants` grid serially, in row-major
-/// order (all variants of the first workload, then the second, ...).
-///
-/// This is the paper's 8×4 evaluation sweep when called with
-/// `all_workloads()` and the four headline variants.
-///
-/// # Errors
-///
-/// Propagates the first [`SimError`] any cell hits; use
-/// [`run_grid_resilient`] to keep the rest of the sweep instead.
-pub fn run_grid_serial(
-    specs: &[WorkloadSpec],
-    base: &SystemConfig,
-    variants: &[Variant],
-    len: SimLength,
-) -> Result<Vec<GridCell>, SimError> {
-    let mut cells = Vec::with_capacity(specs.len() * variants.len());
-    for spec in specs {
-        for &variant in variants {
-            cells.push(GridCell {
-                workload: spec.name,
-                variant,
-                seed: base.seed,
-                result: run_variant(spec, base, variant, len)?,
-            });
-        }
-    }
-    Ok(cells)
-}
-
-/// Runs the same grid as [`run_grid_serial`] with cells fanned out over
-/// `threads` workers, returning **bit-identical** results in the same
-/// row-major order.
-///
-/// Determinism contract: every cell is an independent pure function of
-/// `(spec, base, variant, len)` — each simulation owns its RNG streams
-/// (seeded from `base.seed`), its caches, and its counters, and no state
-/// is shared between cells. The pool only changes *when* a cell runs,
-/// never *what* it computes, so for any `threads >= 1`:
-///
-/// `run_grid_parallel(s, b, v, l, n) == run_grid_serial(s, b, v, l)`
-///
-/// `tests/determinism.rs` asserts this at 1, 2 and 8 threads.
-///
-/// # Errors
-///
-/// Propagates the first (row-major) [`SimError`] any cell hits.
-pub fn run_grid_parallel(
-    specs: &[WorkloadSpec],
-    base: &SystemConfig,
-    variants: &[Variant],
-    len: SimLength,
-    threads: usize,
-) -> Result<Vec<GridCell>, SimError> {
-    run_grid_parallel_impl(specs, base, variants, len, threads, None)
-}
-
-/// [`run_grid_parallel`] consulting (and feeding) a content-addressed
-/// [`ResultStore`]: before scheduling, each cell is looked up under the
-/// sweep's structural [`journal::fingerprint`] and served from the store
-/// if present; only the delta is computed, and computed cells are
-/// published back. In-flight leases dedup against other sweeps sharing
-/// the same store handle, so two overlapping sweeps compute each shared
-/// cell exactly once.
-///
-/// The store is bit-inert: by the determinism contract above, a stored
-/// result is the exact bytes the cell would recompute, so warm and cold
-/// runs return identical grids (`tests/store.rs` pins this at 1/2/8
-/// threads, and the `store_gate` example extends the digest golden gate
-/// over it).
-///
-/// # Errors
-///
-/// Propagates the first (row-major) [`SimError`] any computed cell hits.
-pub fn run_grid_parallel_store(
-    specs: &[WorkloadSpec],
-    base: &SystemConfig,
-    variants: &[Variant],
-    len: SimLength,
-    threads: usize,
-    store: &Arc<ResultStore>,
-) -> Result<Vec<GridCell>, SimError> {
-    run_grid_parallel_impl(specs, base, variants, len, threads, Some(store))
-}
-
-fn run_grid_parallel_impl(
-    specs: &[WorkloadSpec],
-    base: &SystemConfig,
-    variants: &[Variant],
-    len: SimLength,
-    threads: usize,
-    store: Option<&Arc<ResultStore>>,
-) -> Result<Vec<GridCell>, SimError> {
-    let variants_n = variants.len();
-    let total = specs.len() * variants_n;
-    let fingerprint = store.map(|_| journal::fingerprint(base, len));
-    // Progress is observability only: workers mark cells with relaxed
-    // atomics, the heartbeat renders to stderr, and nothing feeds back
-    // into the results (the determinism contract above is untouched).
-    let progress = Arc::new(GridProgress::new(total, threads.max(1).min(total.max(1))));
-    let heartbeat = progress_enabled().then(|| Heartbeat::start(Arc::clone(&progress)));
-    let gm = GridMetrics::arm();
-
-    // Store consult happens before scheduling: hits never occupy a
-    // worker, so a 95%-warm sweep spends its threads on the 5% delta.
-    let mut prefilled: Vec<Option<GridCell>> = (0..total).map(|_| None).collect();
-    if let (Some(store), Some(fp)) = (store, fingerprint) {
-        for (si, spec) in specs.iter().enumerate() {
-            for (vi, &variant) in variants.iter().enumerate() {
-                let idx = si * variants_n + vi;
-                let key = CellKey::new(spec.name, variant, base.seed);
-                if let Some(result) = store.get(fp, &key) {
-                    prefilled[idx] =
-                        Some(GridCell { workload: spec.name, variant, seed: base.seed, result });
-                    progress.cell_cached(idx);
-                    if let Some(gm) = &gm {
-                        gm.cached.inc();
-                    }
-                }
-            }
-        }
-    }
-
-    let progress_ref = &progress;
-    let prefilled_ref = &prefilled;
-    let gm_ref = &gm;
-    let jobs: Vec<_> = specs
-        .iter()
-        .enumerate()
-        .flat_map(|(si, spec)| {
-            variants.iter().enumerate().map(move |(vi, &variant)| {
-                let idx = si * variants_n + vi;
-                let progress = Arc::clone(progress_ref);
-                let store = store.map(Arc::clone);
-                let gm = gm_ref.clone();
-                (idx, move || {
-                    // An overlapping sweep may have produced (or started)
-                    // this cell since the pre-schedule consult; the lease
-                    // either serves its result or claims the compute.
-                    let mut lease = None;
-                    if let (Some(s), Some(fp)) = (&store, fingerprint) {
-                        let key = CellKey::new(spec.name, variant, base.seed);
-                        match s.lease(fp, &key) {
-                            Lease::Hit(result) => {
-                                progress.cell_cached(idx);
-                                if let Some(gm) = &gm {
-                                    gm.cached.inc();
-                                    gm.queue_depth.sub(1);
-                                }
-                                return Ok(GridCell {
-                                    workload: spec.name,
-                                    variant,
-                                    seed: base.seed,
-                                    result,
-                                });
-                            }
-                            Lease::Compute(l) => lease = Some(l),
-                        }
-                    }
-                    progress.cell_started(idx);
-                    let compute_start = Instant::now();
-                    let cell = run_variant(spec, base, variant, len).map(|result| GridCell {
-                        workload: spec.name,
-                        variant,
-                        seed: base.seed,
-                        result,
-                    });
-                    match &cell {
-                        Ok(c) => {
-                            progress.cell_finished(idx, true, c.result.events, c.result.host_nanos);
-                            if let Some(gm) = &gm {
-                                gm.computed.inc();
-                                gm.compute_nanos.record_elapsed(compute_start);
-                            }
-                            if let Some(l) = lease {
-                                if let Err(e) = l.publish(&c.result) {
-                                    eprintln!("cmpsim: store publish failed: {e}");
-                                }
-                            }
-                        }
-                        Err(_) => {
-                            progress.cell_finished(idx, false, 0, 0);
-                            if let Some(gm) = &gm {
-                                gm.failed.inc();
-                            }
-                        }
-                    }
-                    if let Some(gm) = &gm {
-                        gm.queue_depth.sub(1);
-                    }
-                    cell
-                })
-            })
-        })
-        .filter(|(idx, _)| prefilled_ref[*idx].is_none())
-        .map(|(_, job)| job)
-        .collect();
-    if let Some(gm) = &gm {
-        gm.queue_depth.add(jobs.len() as u64);
-    }
-    let computed = cmpsim_harness::pool::run_indexed(threads, jobs);
-    drop(heartbeat);
-    // Merge computed cells back into row-major order around the store
-    // hits, propagating the first (row-major) error.
-    let mut computed = computed.into_iter();
-    let mut out = Vec::with_capacity(total);
-    for slot in prefilled {
-        match slot {
-            Some(cell) => out.push(cell),
-            None => out.push(computed.next().expect("one computed cell per scheduled job")?),
-        }
-    }
-    Ok(out)
-}
-
-/// Policy for a [`run_grid_resilient`] sweep: how cells are supervised
-/// and where (if anywhere) completed cells are journaled.
+/// Policy for a grid sweep: how cells are supervised and where (if
+/// anywhere) they are checkpointed and cached. The default runs on
+/// [`default_threads`](cmpsim_harness::supervise::default_threads)
+/// workers with neither; `Supervisor::with_threads(1)` is the serial
+/// sweep.
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceOptions {
     /// Worker count, per-cell deadline (`CMPSIM_CELL_DEADLINE_MS`), and
@@ -431,17 +220,12 @@ impl ResilienceOptions {
     }
 }
 
-/// Runs the `workloads × variants` grid under full supervision: each
-/// cell executes in its own watchdogged worker, and a panicking, hanging
-/// or [`SimError`]-failing cell degrades to an `Err` in its slot while
-/// every other cell completes. Results come back in row-major order,
-/// like [`run_grid_serial`].
-///
-/// With `opts.journal` set, completed cells are appended to a checkpoint
-/// journal *as they finish*; re-invoking with the same journal (same
-/// base config and length — see [`journal::fingerprint`]) skips them and
-/// returns bit-identical results, so a sweep killed mid-run resumes
-/// where it left off. `tests/resilience.rs` asserts both properties.
+/// Runs the `workloads × variants` grid with [`run_variant`] as the cell
+/// function: [`run_cells_resilient`] under the sweep's structural
+/// [`journal::fingerprint`]. Results come back in row-major order (all
+/// variants of the first workload, then the second, ...); with
+/// `all_workloads()` and the four headline variants this is the paper's
+/// 8×4 evaluation sweep.
 pub fn run_grid_resilient(
     specs: &[WorkloadSpec],
     base: &SystemConfig,
@@ -459,10 +243,41 @@ pub fn run_grid_resilient(
     )
 }
 
-/// The engine under [`run_grid_resilient`], parameterized over the cell
-/// function so tests can inject faulty cells (panics, hangs, errors).
-/// `fingerprint` guards the journal against resuming under a different
-/// sweep definition.
+/// The grid driver: runs `cell_fn` over every `(workload, variant)` cell
+/// on `opts.supervisor`'s workers and returns one result per cell, in
+/// row-major order. A panicking, hanging or [`SimError`]-failing cell
+/// degrades to an `Err` in its slot while every other cell completes;
+/// callers that want fail-fast collect into `Result<Vec<GridCell>, _>`,
+/// which yields the first failing cell in row-major order.
+///
+/// Determinism contract: every cell is an independent pure function of
+/// `(spec, base, variant)`: each simulation owns its RNG streams (seeded
+/// from `base.seed`), its caches, and its counters, and no state is
+/// shared between cells. Scheduling only changes *when* a cell runs,
+/// never *what* it computes, so the grid is bit-identical at any thread
+/// count, with or without a deadline (`tests/determinism.rs` asserts
+/// this at 1, 2 and 8 threads).
+///
+/// Before scheduling, each cell is looked up in this order, and only
+/// the cells found nowhere are computed:
+///
+/// 1. `opts.journal`: cells this sweep already completed are reused, and
+///    cells it journaled as failing [`journal::MAX_CELL_FAILURES`]
+///    times are quarantined. Completed and failed cells are appended *as
+///    they finish*, so a sweep killed mid-run resumes where it left off.
+///    `fingerprint` guards the journal against resuming under a
+///    different sweep definition.
+/// 2. `opts.store`, under `fingerprint`: a hit is never scheduled, and is
+///    mirrored into the journal so a later resume stays complete even
+///    without the store. A scheduled cell first takes a store lease, so
+///    overlapping sweeps sharing the store compute each shared cell
+///    exactly once, and computed cells are published back. The store is
+///    bit-inert: by the contract above, a stored result is the exact
+///    bytes the cell would recompute.
+///
+/// `tests/resilience.rs` and `tests/store.rs` assert these properties.
+/// The cell function is a parameter so tests can inject faulty cells
+/// (panics, hangs, errors).
 pub fn run_cells_resilient<F>(
     specs: &[WorkloadSpec],
     base: &SystemConfig,
@@ -477,228 +292,80 @@ where
         + Sync
         + 'static,
 {
-    let journal = opts
-        .journal
-        .as_ref()
-        .map(|p| Arc::new(Mutex::new(Journal::new(p, fingerprint))));
-
-    // Cells already in the journal are reused, not re-run; cells the
-    // journal records as repeatedly failing are quarantined outright.
+    let journal = opts.journal.as_ref().map(|p| Journal::new(p, fingerprint));
+    let mut snapshot = journal.as_ref().map(load_journal).unwrap_or_default();
     let mut completed: HashMap<(String, Variant), RunResult> = HashMap::new();
-    let mut quarantined: HashMap<(String, Variant), u32> = HashMap::new();
-    if let Some(j) = &journal {
-        let snapshot = lock_journal(j).load().unwrap_or_else(|e| {
-            eprintln!("cmpsim: could not read journal: {e}; starting fresh");
-            journal::JournalSnapshot::default()
-        });
-        if let Some(p) = &opts.journal {
-            if snapshot.repaired_tail {
-                eprintln!(
-                    "cmpsim: journal {}: torn tail truncated (writer was killed mid-append); \
-                     the torn cell will re-run",
-                    p.display()
-                );
-            }
-            for (line, reason) in &snapshot.skipped {
-                eprintln!(
-                    "cmpsim: journal {}:{line}: {reason}; cell will re-run",
-                    p.display()
-                );
-            }
-        }
-        for e in snapshot.entries {
-            if e.seed == base.seed {
-                completed.insert((e.workload, e.variant), e.result);
-            }
-        }
-        for ((workload, variant, seed), failures) in &snapshot.failures {
-            if *seed == base.seed && *failures >= journal::MAX_CELL_FAILURES {
-                quarantined.insert((workload.clone(), *variant), *failures);
-            }
+    for e in std::mem::take(&mut snapshot.entries) {
+        if e.seed == base.seed {
+            completed.insert((e.workload, e.variant), e.result);
         }
     }
 
     let n = specs.len() * variants.len();
-    let mut out: Vec<Option<Result<GridCell, CellError>>> = (0..n).map(|_| None).collect();
+    // Progress is observability only: workers mark cells with relaxed
+    // atomics, the heartbeat renders to stderr, and nothing feeds back
+    // into the results.
+    let progress = GridProgress::new(n, opts.supervisor.threads.max(1).min(n.max(1)));
+    let sweep = Arc::new(Sweep {
+        fingerprint,
+        seed: base.seed,
+        journal: journal.map(Mutex::new),
+        store: opts.store.clone(),
+        progress: Arc::new(progress),
+        metrics: GridMetrics::arm(),
+    });
+    let heartbeat = progress_enabled().then(|| Heartbeat::start(Arc::clone(&sweep.progress)));
     let cell_fn = Arc::new(cell_fn);
+    let mut out: Vec<Option<Result<GridCell, CellError>>> = Vec::with_capacity(n);
     let mut jobs = Vec::new();
-    let mut job_slots: Vec<(usize, &'static str, Variant)> = Vec::new();
-    // Progress is observability only; journal-skipped cells count as done
-    // immediately, supervised retries show up as `retrying` (a second
-    // `cell_started` on the same slot).
-    let workers = opts.supervisor.threads.max(1);
-    let progress = Arc::new(GridProgress::new(n, workers.min(n.max(1))));
-    let heartbeat = progress_enabled().then(|| Heartbeat::start(Arc::clone(&progress)));
-    let gm = GridMetrics::arm();
-
-    let mut idx = 0usize;
+    let mut scheduled: Vec<(usize, &'static str, Variant)> = Vec::new();
     for spec in specs {
         for &variant in variants {
-            if let Some(result) = completed.get(&(spec.name.to_string(), variant)) {
-                out[idx] = Some(Ok(GridCell {
-                    workload: spec.name,
-                    variant,
-                    seed: base.seed,
-                    result: result.clone(),
-                }));
-                progress.cell_skipped(idx);
-                if let Some(gm) = &gm {
-                    gm.skipped.inc();
-                }
-            } else if let Some(&failures) = quarantined.get(&(spec.name.to_string(), variant))
-            {
-                out[idx] = Some(Err(CellError::Quarantined {
-                    workload: spec.name,
-                    variant,
-                    failures,
-                }));
-                progress.cell_skipped(idx);
-                if let Some(gm) = &gm {
-                    gm.quarantined.inc();
-                }
-            } else if let Some(result) = opts
-                .store
-                .as_ref()
-                .and_then(|s| s.get(fingerprint, &CellKey::new(spec.name, variant, base.seed)))
-            {
-                // Store hit: the cell is never scheduled. Mirror it into
-                // this sweep's journal so a later resume stays complete
-                // even without the store.
-                if let Some(j) = &journal {
-                    let entry = JournalEntry {
-                        workload: spec.name.to_string(),
-                        variant,
-                        seed: base.seed,
-                        result: result.clone(),
-                    };
-                    if let Err(e) = lock_journal(j).append(&entry) {
-                        eprintln!("cmpsim: journal append failed: {e}");
-                    }
-                }
-                out[idx] = Some(Ok(GridCell {
-                    workload: spec.name,
-                    variant,
-                    seed: base.seed,
-                    result,
-                }));
-                progress.cell_cached(idx);
-                if let Some(gm) = &gm {
-                    gm.cached.inc();
-                }
+            let idx = out.len();
+            let cell = |result| GridCell { workload: spec.name, variant, seed: base.seed, result };
+            let stored = || {
+                let store = sweep.store.as_ref()?;
+                store.get(fingerprint, &CellKey::new(spec.name, variant, base.seed))
+            };
+            let ready = if let Some(result) = completed.get(&(spec.name.to_string(), variant)) {
+                sweep.progress.cell_skipped(idx);
+                sweep.count(|m| &m.skipped);
+                Some(Ok(cell(result.clone())))
+            } else if let Some(failures) = snapshot.quarantined(spec.name, variant, base.seed) {
+                sweep.progress.cell_skipped(idx);
+                sweep.count(|m| &m.quarantined);
+                Some(Err(CellError::Quarantined { workload: spec.name, variant, failures }))
+            } else if let Some(result) = stored() {
+                sweep.cached(idx, spec.name, variant, &result);
+                Some(Ok(cell(result)))
             } else {
-                job_slots.push((idx, spec.name, variant));
-                let spec = spec.clone();
-                let base = base.clone();
-                let cell_fn = Arc::clone(&cell_fn);
-                let journal = journal.clone();
-                let store = opts.store.clone();
-                let progress = Arc::clone(&progress);
-                let gm = gm.clone();
-                jobs.push(move || -> Result<RunResult, SimError> {
-                    // A sweep overlapping on the same store may have
-                    // produced (or be producing) this cell; take a lease
-                    // so each shared cell is computed exactly once.
-                    let mut lease = None;
-                    if let Some(s) = &store {
-                        let key = CellKey::new(spec.name, variant, base.seed);
-                        match s.lease(fingerprint, &key) {
-                            Lease::Hit(result) => {
-                                progress.cell_cached(idx);
-                                if let Some(gm) = &gm {
-                                    gm.cached.inc();
-                                    gm.queue_depth.sub(1);
-                                }
-                                if let Some(j) = &journal {
-                                    let entry = JournalEntry {
-                                        workload: spec.name.to_string(),
-                                        variant,
-                                        seed: base.seed,
-                                        result: result.clone(),
-                                    };
-                                    if let Err(e) = lock_journal(j).append(&entry) {
-                                        eprintln!("cmpsim: journal append failed: {e}");
-                                    }
-                                }
-                                return Ok(result);
-                            }
-                            Lease::Compute(l) => lease = Some(l),
-                        }
-                    }
-                    // A supervised retry re-enters this body with the slot
-                    // already marked Running/Retrying: that re-entry is the
-                    // retry the `grid_retries` counter tallies.
-                    if let Some(gm) = &gm {
-                        if matches!(
-                            progress.state(idx),
-                            CellState::Running | CellState::Retrying
-                        ) {
-                            gm.retries.inc();
-                        }
-                    }
-                    progress.cell_started(idx);
-                    let compute_start = Instant::now();
-                    let result = cell_fn(&spec, &base, variant);
-                    match &result {
-                        Ok(r) => {
-                            progress.cell_finished(idx, true, r.events, r.host_nanos);
-                            if let Some(gm) = &gm {
-                                gm.computed.inc();
-                                gm.compute_nanos.record_elapsed(compute_start);
-                            }
-                        }
-                        Err(_) => {
-                            progress.cell_finished(idx, false, 0, 0);
-                            if let Some(gm) = &gm {
-                                gm.failed.inc();
-                            }
-                        }
-                    }
-                    if let Some(gm) = &gm {
-                        gm.queue_depth.sub(1);
-                    }
-                    let result = result?;
-                    if let Some(l) = lease {
-                        if let Err(e) = l.publish(&result) {
-                            eprintln!("cmpsim: store publish failed: {e}");
-                        }
-                    }
-                    // Journal inside the job so a later kill loses only
-                    // cells that had not finished.
-                    if let Some(j) = &journal {
-                        let entry = JournalEntry {
-                            workload: spec.name.to_string(),
-                            variant,
-                            seed: base.seed,
-                            result: result.clone(),
-                        };
-                        if let Err(e) = lock_journal(j).append(&entry) {
-                            eprintln!("cmpsim: journal append failed: {e}");
-                        }
-                    }
-                    Ok(result)
-                });
-            }
-            idx += 1;
+                scheduled.push((idx, spec.name, variant));
+                let (sweep, cell_fn) = (Arc::clone(&sweep), Arc::clone(&cell_fn));
+                let (spec, base) = (spec.clone(), base.clone());
+                jobs.push(move || sweep.run_cell(idx, &spec, &base, variant, &*cell_fn));
+                None
+            };
+            out.push(ready);
         }
     }
 
-    if let Some(gm) = &gm {
-        gm.queue_depth.add(jobs.len() as u64);
+    if let Some(m) = &sweep.metrics {
+        m.queue_depth.add(jobs.len() as u64);
     }
     let outcomes = run_supervised(&opts.supervisor, jobs);
-    for ((slot, workload, variant), outcome) in job_slots.into_iter().zip(outcomes) {
+    for ((slot, workload, variant), outcome) in scheduled.into_iter().zip(outcomes) {
         // Panicked/timed-out jobs never reached their own `cell_finished`;
         // settle them here so the final status line accounts for every
         // cell. (An abandoned timed-out thread may still be running, but
         // progress is display-only state and feeds nothing back.)
         if !matches!(
-            progress.state(slot),
+            sweep.progress.state(slot),
             CellState::Done | CellState::Failed | CellState::Cached
         ) {
-            progress.cell_finished(slot, false, 0, 0);
-            if let Some(gm) = &gm {
-                gm.failed.inc();
-                gm.queue_depth.sub(1);
+            sweep.progress.cell_finished(slot, false, 0, 0);
+            if let Some(m) = &sweep.metrics {
+                m.failed.inc();
+                m.queue_depth.sub(1);
             }
         }
         let resolved = match outcome {
@@ -715,11 +382,10 @@ where
                 elapsed_ms: elapsed.as_millis() as u64,
             }),
         };
-        if let (Err(err), Some(j)) = (&resolved, &journal) {
+        if let (Err(err), Some(j)) = (&resolved, &sweep.journal) {
             // Journal the failure so repeated offenders are quarantined
             // on the next resume instead of retried forever.
-            if let Err(e) =
-                lock_journal(j).append_failure(workload, variant, base.seed, &err.to_string())
+            if let Err(e) = lock(j).append_failure(workload, variant, base.seed, &err.to_string())
             {
                 eprintln!("cmpsim: journal failure append failed: {e}");
             }
@@ -730,10 +396,138 @@ where
     out.into_iter().map(|o| o.expect("every cell resolved")).collect()
 }
 
+/// What every job of one sweep shares: where results go (journal,
+/// store) and what observes them (progress, metrics).
+struct Sweep {
+    fingerprint: u64,
+    seed: u64,
+    journal: Option<Mutex<Journal>>,
+    store: Option<Arc<ResultStore>>,
+    progress: Arc<GridProgress>,
+    metrics: Option<GridMetrics>,
+}
+
+impl Sweep {
+    /// Increments one `grid_*` counter, if metrics are armed.
+    fn count(&self, counter: impl FnOnce(&GridMetrics) -> &Counter) {
+        if let Some(m) = &self.metrics {
+            counter(m).inc();
+        }
+    }
+
+    /// Checkpoints a completed cell, so a later kill loses only cells
+    /// that had not finished.
+    fn journal_cell(&self, workload: &str, variant: Variant, result: &RunResult) {
+        let Some(j) = &self.journal else { return };
+        let entry = JournalEntry {
+            workload: workload.to_string(),
+            variant,
+            seed: self.seed,
+            result: result.clone(),
+        };
+        if let Err(e) = lock(j).append(&entry) {
+            eprintln!("cmpsim: journal append failed: {e}");
+        }
+    }
+
+    /// Records cell `idx` as served from the store, mirroring it into the
+    /// journal.
+    fn cached(&self, idx: usize, workload: &str, variant: Variant, result: &RunResult) {
+        self.progress.cell_cached(idx);
+        self.count(|m| &m.cached);
+        self.journal_cell(workload, variant, result);
+    }
+
+    /// One scheduled cell, run on a supervised worker: lease, compute,
+    /// publish, journal.
+    fn run_cell<F>(
+        &self,
+        idx: usize,
+        spec: &WorkloadSpec,
+        base: &SystemConfig,
+        variant: Variant,
+        cell_fn: &F,
+    ) -> Result<RunResult, SimError>
+    where
+        F: Fn(&WorkloadSpec, &SystemConfig, Variant) -> Result<RunResult, SimError>,
+    {
+        // An overlapping sweep on the same store may have produced (or be
+        // producing) this cell since the consult; the lease either serves
+        // its result or claims the compute.
+        let mut lease = None;
+        if let Some(s) = &self.store {
+            match s.lease(self.fingerprint, &CellKey::new(spec.name, variant, self.seed)) {
+                Lease::Hit(result) => {
+                    self.cached(idx, spec.name, variant, &result);
+                    if let Some(m) = &self.metrics {
+                        m.queue_depth.sub(1);
+                    }
+                    return Ok(result);
+                }
+                Lease::Compute(l) => lease = Some(l),
+            }
+        }
+        // A supervised retry re-enters this body with the slot already
+        // marked Running/Retrying: that re-entry is the retry the
+        // `grid_retries` counter tallies.
+        if matches!(self.progress.state(idx), CellState::Running | CellState::Retrying) {
+            self.count(|m| &m.retries);
+        }
+        self.progress.cell_started(idx);
+        let compute_start = Instant::now();
+        let result = cell_fn(spec, base, variant);
+        match &result {
+            Ok(r) => {
+                self.progress.cell_finished(idx, true, r.events, r.host_nanos);
+                if let Some(m) = &self.metrics {
+                    m.computed.inc();
+                    m.compute_nanos.record_elapsed(compute_start);
+                }
+            }
+            Err(_) => {
+                self.progress.cell_finished(idx, false, 0, 0);
+                self.count(|m| &m.failed);
+            }
+        }
+        if let Some(m) = &self.metrics {
+            m.queue_depth.sub(1);
+        }
+        let result = result?;
+        if let Some(l) = lease {
+            if let Err(e) = l.publish(&result) {
+                eprintln!("cmpsim: store publish failed: {e}");
+            }
+        }
+        self.journal_cell(spec.name, variant, &result);
+        Ok(result)
+    }
+}
+
+/// Reads back a sweep's journal, reporting a repaired tail and each
+/// skipped line on stderr (each only means a cell re-runs). An
+/// unreadable journal starts the sweep fresh.
+fn load_journal(journal: &Journal) -> JournalSnapshot {
+    let snapshot = journal.load().unwrap_or_else(|e| {
+        eprintln!("cmpsim: could not read journal: {e}; starting fresh");
+        JournalSnapshot::default()
+    });
+    let path = journal.path().display();
+    if snapshot.repaired_tail {
+        eprintln!(
+            "cmpsim: journal {path}: torn tail truncated (writer was killed mid-append); \
+             the torn cell will re-run"
+        );
+    }
+    for (line, reason) in &snapshot.skipped {
+        eprintln!("cmpsim: journal {path}:{line}: {reason}; cell will re-run");
+    }
+    snapshot
+}
+
 /// Locks the shared journal, surviving a poisoned mutex (a panic in a
 /// supervised job cannot be allowed to wedge checkpointing for the rest
 /// of the sweep).
-fn lock_journal(j: &Arc<Mutex<Journal>>) -> std::sync::MutexGuard<'_, Journal> {
+fn lock(j: &Mutex<Journal>) -> std::sync::MutexGuard<'_, Journal> {
     j.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }
 
@@ -806,12 +600,22 @@ mod tests {
         let base = SystemConfig::paper_default(2);
         let variants = [Variant::Base, Variant::PrefetchCompression];
         let len = SimLength { warmup: 2_000, measure: 8_000 };
-        let serial = run_grid_serial(&specs, &base, &variants, len).unwrap();
+        let grid = |threads| {
+            let opts = ResilienceOptions {
+                supervisor: Supervisor::with_threads(threads),
+                ..ResilienceOptions::default()
+            };
+            run_grid_resilient(&specs, &base, &variants, len, &opts)
+                .into_iter()
+                .collect::<Result<Vec<_>, _>>()
+                .unwrap()
+        };
+        let serial = grid(1);
         assert_eq!(serial.len(), 4);
         assert_eq!(serial[0].workload, "apsi");
         assert_eq!(serial[1].variant, Variant::PrefetchCompression);
         for threads in [1, 2, 8] {
-            let par = run_grid_parallel(&specs, &base, &variants, len, threads).unwrap();
+            let par = grid(threads);
             assert_eq!(serial, par, "parallel grid diverged at {threads} threads");
         }
     }

@@ -16,9 +16,9 @@
 //!
 //! Entry points: build a [`SystemConfig`], pick a workload from
 //! `cmpsim_trace`, and call [`System::run`]; or use the [`experiment`]
-//! helpers that package the paper's configuration grid (base /
-//! compression / prefetching / both) and compute speedups and
-//! interaction terms (EQ 5).
+//! grid driver, which runs the paper's configuration grid (base /
+//! compression / prefetching / both) over any number of workloads, and
+//! the helpers that compute speedups and interaction terms (EQ 5).
 //!
 //! # Examples
 //!
@@ -35,11 +35,14 @@
 //!
 //! Runs are supervised: [`System::run`] returns `Err(`[`SimError`]`)` if
 //! the forward-progress watchdog detects a livelock or (with
-//! `CMPSIM_CHECK=1`) a sampled structural invariant fails, and the
-//! [`experiment`] grid drivers either propagate that ([`experiment::
-//! run_grid_serial`]) or degrade it to a per-cell
-//! [`CellError`] while the rest of the sweep completes
-//! ([`experiment::run_grid_resilient`]).
+//! `CMPSIM_CHECK=1`) a sampled structural invariant fails. The one grid
+//! driver ([`experiment::run_cells_resilient`], or its shorthand
+//! [`experiment::run_grid_resilient`]) degrades that, a panic, or a
+//! blown `CMPSIM_CELL_DEADLINE_MS` to a per-cell [`CellError`] while the
+//! rest of the sweep completes; callers that want fail-fast collect the
+//! cells into a `Result`. Its [`experiment::ResilienceOptions`] choose
+//! the worker count (one worker is the serial sweep), a checkpoint
+//! journal, and a result store.
 
 mod config;
 mod core_model;

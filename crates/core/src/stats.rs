@@ -90,8 +90,8 @@ pub struct CoherenceStats {
 ///
 /// `PartialEq` compares every counter exactly (the two `f64` fields are
 /// sums of exact per-sample values, so equal runs produce equal bits);
-/// the determinism tests rely on this to assert that serial and parallel
-/// grid drivers produce identical results.
+/// the determinism tests rely on this to assert that the grid driver
+/// produces identical results at every thread count.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SimStats {
     /// Instructions retired across all cores during measurement.

@@ -12,7 +12,7 @@
 //! them back, so a traced run and an untraced run compute bit-identical
 //! [`crate::RunResult`]s (asserted by `tests/telemetry.rs`).
 
-use cmpsim_harness::metrics;
+use cmpsim_harness::{env_u64, metrics};
 use cmpsim_harness::telemetry::{self, FlightRecorder, Record, SeriesBuffer};
 use std::path::PathBuf;
 
@@ -238,10 +238,6 @@ impl TraceOptions {
         self.out_dir = None;
         self
     }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// Live trace state owned by a running `System`. Boxed behind an

@@ -23,6 +23,7 @@
 //! }
 //! ```
 
+use crate::env::env_u64;
 use crate::metrics;
 use std::hint::black_box;
 use std::io;
@@ -179,8 +180,9 @@ impl Runner {
     }
 }
 
+/// An iteration-count knob, saturating at `u32::MAX`.
 fn env_u32(key: &str) -> Option<u32> {
-    std::env::var(key).ok()?.parse().ok()
+    env_u64(key).map(|v| u32::try_from(v).unwrap_or(u32::MAX))
 }
 
 fn json_str(s: &str) -> String {

@@ -16,13 +16,16 @@
 //! - [`bench`] — a self-contained benchmark runner (warmup + timed
 //!   iterations, median/p10/p90) that writes JSON artifacts to
 //!   `target/bench/*.json`.
-//! - [`pool`] — a scoped self-scheduling thread pool: idle workers claim
-//!   the next unstarted job, so a vector of independent closures spreads
-//!   across cores with results returned in submission order.
-//! - [`supervise`] — the fault-isolating counterpart to [`pool`]: per-job
-//!   panic capture, a watchdog enforcing a soft deadline
-//!   (`CMPSIM_CELL_DEADLINE_MS`), and bounded retry with backoff, so one
-//!   bad job in a long sweep degrades one result instead of the run.
+//! - [`supervise`] — the one job executor: idle workers claim the next
+//!   unstarted job, so a vector of independent closures spreads across
+//!   cores (`CMPSIM_THREADS`) with outcomes returned in submission
+//!   order. Each job's panics are captured and retried with backoff,
+//!   and an optional watchdog deadline (`CMPSIM_CELL_DEADLINE_MS`)
+//!   abandons a hung job, so one bad job in a long sweep degrades one
+//!   result instead of the run.
+//! - [`env_u64`] — the one reader of integer `CMPSIM_*` knobs: a value
+//!   that is set but is not a count warns on stderr instead of silently
+//!   falling back to the default.
 //! - [`fastmap`] — deterministic, SipHash-free hash containers for the
 //!   engine's hot paths: an open-addressing [`fastmap::AddrMap`] for
 //!   MSHR-style exact maps and a bounded [`fastmap::MemoCache`] for
@@ -43,23 +46,25 @@
 //!   bit-reproducible across thread counts.
 //!
 //! Everything here is deterministic for a fixed seed: property tests
-//! replay exactly, and the pool never changes *what* is computed, only
-//! *when* — parallel users (e.g. `cmpsim_core::experiment::
-//! run_grid_parallel`) stay bit-identical to their serial counterparts.
+//! replay exactly, and the executor never changes *what* is computed,
+//! only *when*, so the grid driver built on it
+//! (`cmpsim_core::experiment::run_cells_resilient`) returns
+//! bit-identical results at any thread count.
 
 pub mod bench;
 pub mod chaos;
 pub mod codec_conformance;
+mod env;
 pub mod fastmap;
 pub mod gen;
 pub mod metrics;
-pub mod pool;
 pub mod prop;
 mod rng;
 pub mod supervise;
 pub mod telemetry;
 
 pub use chaos::{FaultPlan, FaultSite};
+pub use env::env_u64;
 pub use gen::Gen;
 pub use rng::Rng;
 pub use supervise::{run_supervised, JobOutcome, Supervisor};

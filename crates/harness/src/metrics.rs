@@ -8,7 +8,7 @@
 //! what a simulation computes, so armed metrics leave every grid digest
 //! and golden bit-identical (the `metrics_gate` example and `ci.sh` pin
 //! this). The intended users are the service layer — the result store,
-//! the grid drivers, and the `serve` daemon — which share the process
+//! the grid driver, and the `serve` daemon — which share the process
 //! [`global`] registry so one `{"metrics":1}` query sees the whole
 //! serving path.
 //!
@@ -384,7 +384,7 @@ impl Registry {
 }
 
 /// The process-wide registry the service layer records into (store,
-/// grid drivers, serve daemon).
+/// grid driver, serve daemon).
 pub fn global() -> &'static Registry {
     static GLOBAL: OnceLock<Registry> = OnceLock::new();
     GLOBAL.get_or_init(Registry::new)

@@ -16,6 +16,7 @@
 //! [`prop_assert!`](crate::prop_assert) family) or by panicking
 //! (`assert!`, index out of bounds, ...); both shrink identically.
 
+use crate::env::env_u64;
 use crate::gen::Gen;
 use crate::rng::{hash_str, Rng};
 use std::fmt::Debug;
@@ -50,10 +51,6 @@ impl Config {
         }
         cfg
     }
-}
-
-fn env_u64(key: &str) -> Option<u64> {
-    std::env::var(key).ok()?.parse().ok()
 }
 
 /// Outcome of one property invocation.

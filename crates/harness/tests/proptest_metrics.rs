@@ -96,7 +96,7 @@ fn merge_is_associative() {
 }
 
 /// Merging per-worker snapshots equals the one histogram that recorded
-/// every value — the exact property the grid drivers rely on when each
+/// every value — the exact property the grid driver relies on when each
 /// worker records into a shared histogram.
 #[test]
 fn merge_equals_histogram_of_union() {

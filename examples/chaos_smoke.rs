@@ -7,8 +7,9 @@
 //! the system degraded. Output is fully deterministic for a given plan,
 //! so CI diffs two invocations byte-for-byte.
 
-use cmpsim::{run_grid_parallel, run_grid_serial, workload, FaultPlan, SimLength, SystemConfig,
-    Variant};
+use cmpsim::{run_grid_resilient, workload, FaultPlan, ResilienceOptions, SimLength,
+    SystemConfig, Variant};
+use cmpsim_harness::Supervisor;
 
 fn main() {
     let raw = std::env::var("CMPSIM_CHAOS").unwrap_or_else(|_| "7:0.02".to_string());
@@ -25,8 +26,17 @@ fn main() {
     let variants = [Variant::PrefetchCompression];
     let base = SystemConfig::paper_default(2).with_seed(11);
     let len = SimLength { warmup: 5_000, measure: 20_000 };
+    let grid = |threads| {
+        let opts = ResilienceOptions {
+            supervisor: Supervisor::with_threads(threads),
+            ..ResilienceOptions::default()
+        };
+        run_grid_resilient(&specs, &base, &variants, len, &opts)
+            .into_iter()
+            .collect::<Result<Vec<_>, _>>()
+    };
 
-    let serial = match run_grid_serial(&specs, &base, &variants, len) {
+    let serial = match grid(1) {
         Ok(cells) => cells,
         Err(e) => {
             eprintln!("chaos smoke FAILED: {e}");
@@ -34,8 +44,7 @@ fn main() {
         }
     };
     for threads in [1, 2, 8] {
-        let par = run_grid_parallel(&specs, &base, &variants, len, threads)
-            .expect("armed grid re-runs");
+        let par = grid(threads).expect("armed grid re-runs");
         assert_eq!(serial, par, "chaos run diverged at {threads} threads");
     }
 

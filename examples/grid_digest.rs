@@ -1,13 +1,13 @@
 //! Bit-identity gate for engine optimizations (`scripts/ci.sh`).
 //!
 //! Runs a fixed smoke grid (the paper's 8 workloads x 4 headline
-//! variants, 4 cores, seed 11) through `run_grid_serial` and folds every
-//! *model-output* counter of every cell into one FNV-1a digest. The
-//! digest over this grid was recorded from the seed engine (before the
-//! fast-path maps, the recycled event pool and the word-parallel FPC
-//! sizing landed) into `tests/golden/grid_digest.txt`; any engine change
-//! that alters simulated behavior — rather than just how fast it is
-//! computed — changes the digest and fails the gate.
+//! variants, 4 cores, seed 11) through the grid driver on one worker and
+//! folds every *model-output* counter of every cell into one FNV-1a
+//! digest. The digest over this grid was recorded from the seed engine
+//! (before the fast-path maps, the recycled event pool and the
+//! word-parallel FPC sizing landed) into `tests/golden/grid_digest.txt`;
+//! any engine change that alters simulated behavior — rather than just
+//! how fast it is computed — changes the digest and fails the gate.
 //!
 //! Two companion gates pin the non-default codecs: the same 8 workloads
 //! under the two compression-bearing variants with BDI and ZCA selected,
@@ -25,7 +25,11 @@
 //!   cargo run --release --example grid_digest           # compare
 //!   CMPSIM_WRITE_GOLDEN=1 cargo run ... grid_digest     # (re)record
 
-use cmpsim::{all_workloads, report, run_grid_serial, CodecKind, SimLength, SystemConfig, Variant};
+use cmpsim::{
+    all_workloads, report, run_grid_resilient, CodecKind, ResilienceOptions, SimLength,
+    SystemConfig, Variant,
+};
+use cmpsim_harness::Supervisor;
 use std::time::Instant;
 
 const VARIANTS: [Variant; 4] = [
@@ -42,7 +46,14 @@ const GOLDEN_PATH: &str = "tests/golden/grid_digest.txt";
 
 fn digest_grid(base: &SystemConfig, variants: &[Variant], len: SimLength) -> (String, usize) {
     let specs = all_workloads();
-    let cells = run_grid_serial(&specs, base, variants, len).expect("smoke grid simulates");
+    let opts = ResilienceOptions {
+        supervisor: Supervisor::with_threads(1),
+        ..ResilienceOptions::default()
+    };
+    let cells: Vec<_> = run_grid_resilient(&specs, base, variants, len, &opts)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .expect("smoke grid simulates");
     // The digest itself lives in `report::grid_digest` so the store gate
     // (examples/store_gate.rs) folds the exact same fields.
     (report::grid_digest(&cells), cells.len())

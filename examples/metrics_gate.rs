@@ -1,8 +1,8 @@
 //! Service-metrics inertness + SLO gate (`scripts/ci.sh`).
 //!
-//! Runs the smoke grid cold then warm through `run_grid_parallel_store`
-//! with metrics **armed** and asserts the tentpole contract from three
-//! sides:
+//! Runs the smoke grid cold then warm through the grid driver against
+//! one result store, with metrics **armed**, and asserts the contract
+//! from three sides:
 //!
 //! - **bit-inertness** — both armed runs produce the exact
 //!   `grid_digest` golden (`tests/golden/grid_digest.txt`): recording
@@ -26,9 +26,13 @@
 
 use cmpsim::core::flatjson::parse_flat;
 use cmpsim::core::store::ResultStore;
-use cmpsim::{all_workloads, report, run_grid_parallel_store, SimLength, SystemConfig, Variant};
+use cmpsim::{
+    all_workloads, report, run_grid_resilient, GridCell, ResilienceOptions, SimLength,
+    SystemConfig, Variant,
+};
 use cmpsim_harness::bench::Runner;
-use cmpsim_harness::metrics;
+use cmpsim_harness::{metrics, Supervisor};
+use std::sync::Arc;
 use std::time::Instant;
 
 const VARIANTS: [Variant; 4] = [
@@ -72,11 +76,21 @@ fn main() {
     let dir = std::env::var("CMPSIM_STORE")
         .unwrap_or_else(|_| "target/metrics-gate-store".to_string());
     let _ = std::fs::remove_dir_all(&dir);
+    let sweep = |store: &Arc<ResultStore>| -> Vec<GridCell> {
+        let opts = ResilienceOptions {
+            supervisor: Supervisor::with_threads(4),
+            journal: None,
+            store: Some(Arc::clone(store)),
+        };
+        run_grid_resilient(&specs, &base, &VARIANTS, len, &opts)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .expect("smoke grid resolves")
+    };
 
     let t0 = Instant::now();
     let cold_store = ResultStore::open(&dir);
-    let cold = run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &cold_store)
-        .expect("cold smoke grid simulates");
+    let cold = sweep(&cold_store);
     let cold_digest = report::grid_digest(&cold);
     let cold_stats = cold_store.stats();
     let cold_snap = metrics::global().snapshot();
@@ -92,8 +106,7 @@ fn main() {
     metrics::global().reset();
     let t1 = Instant::now();
     let warm_store = ResultStore::open(&dir);
-    let warm = run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &warm_store)
-        .expect("warm smoke grid resolves");
+    let warm = sweep(&warm_store);
     let warm_digest = report::grid_digest(&warm);
     let warm_stats = warm_store.stats();
     warm_store.resident_bytes();

@@ -20,8 +20,10 @@
 //!                      is live and consistent, exit nonzero on failure
 
 use cmpsim::core::store::ResultStore;
-use cmpsim::{all_workloads, run_grid_parallel_store, SimLength, SystemConfig, Variant};
+use cmpsim::{all_workloads, run_grid_resilient, ResilienceOptions, SimLength, SystemConfig,
+    Variant};
 use cmpsim_harness::metrics::{self, MetricsSnapshot};
+use cmpsim_harness::Supervisor;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -137,7 +139,13 @@ fn main() {
             let len = SimLength { warmup: 5_000, measure: 20_000 };
             let specs = all_workloads();
             for _ in 0..rounds {
-                if run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &store).is_err() {
+                let opts = ResilienceOptions {
+                    supervisor: Supervisor::with_threads(4),
+                    journal: None,
+                    store: Some(Arc::clone(&store)),
+                };
+                let cells = run_grid_resilient(&specs, &base, &VARIANTS, len, &opts);
+                if cells.iter().any(Result::is_err) {
                     break;
                 }
             }

@@ -1,7 +1,7 @@
 //! Result-store bit-inertness gate (`scripts/ci.sh`).
 //!
 //! Runs the same smoke grid as `examples/grid_digest.rs` twice through
-//! `run_grid_parallel_store` against one result store: cold (empty
+//! the grid driver on 4 workers against one result store: cold (empty
 //! store — every cell computed and published) and warm (fresh store
 //! handle over the same directory — every cell served back). The gate
 //! asserts the store is *bit-inert* and actually *working*:
@@ -17,7 +17,12 @@
 //!   CMPSIM_STORE=$(mktemp -d) cargo run --release --example store_gate
 
 use cmpsim::core::store::ResultStore;
-use cmpsim::{all_workloads, report, run_grid_parallel_store, SimLength, SystemConfig, Variant};
+use cmpsim::{
+    all_workloads, report, run_grid_resilient, GridCell, ResilienceOptions, SimLength,
+    SystemConfig, Variant,
+};
+use cmpsim_harness::Supervisor;
+use std::sync::Arc;
 use std::time::Instant;
 
 const VARIANTS: [Variant; 4] = [
@@ -43,11 +48,21 @@ fn main() {
     let dir = std::env::var("CMPSIM_STORE")
         .unwrap_or_else(|_| "target/store-gate".to_string());
     let _ = std::fs::remove_dir_all(&dir);
+    let sweep = |store: &Arc<ResultStore>| -> Vec<GridCell> {
+        let opts = ResilienceOptions {
+            supervisor: Supervisor::with_threads(4),
+            journal: None,
+            store: Some(Arc::clone(store)),
+        };
+        run_grid_resilient(&specs, &base, &VARIANTS, len, &opts)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .expect("smoke grid resolves")
+    };
 
     let t0 = Instant::now();
     let cold_store = ResultStore::open(&dir);
-    let cold = run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &cold_store)
-        .expect("cold smoke grid simulates");
+    let cold = sweep(&cold_store);
     let cold_stats = cold_store.stats();
     let cold_digest = report::grid_digest(&cold);
     println!(
@@ -61,8 +76,7 @@ fn main() {
 
     let t1 = Instant::now();
     let warm_store = ResultStore::open(&dir);
-    let warm = run_grid_parallel_store(&specs, &base, &VARIANTS, len, 4, &warm_store)
-        .expect("warm smoke grid resolves");
+    let warm = sweep(&warm_store);
     let warm_stats = warm_store.stats();
     let warm_digest = report::grid_digest(&warm);
     println!(

@@ -33,7 +33,7 @@ cargo test -q --offline -p cmpsim-fpc --test codec_oracle
 echo "== invariant-checked smoke cell (CMPSIM_CHECK=1) =="
 CMPSIM_CHECK=1 cargo run -q --release --offline --example checked_smoke
 
-echo "== hot-path bit-identity gate (run_grid_serial vs seed golden) =="
+echo "== hot-path bit-identity gate (one-worker grid vs seed golden) =="
 # The smoke grid's FNV-1a digest over every seed-era result field must
 # match tests/golden/grid_digest.txt, recorded from the pre-optimization
 # engine: the hot-path data structures (fastmap, event-pool free list,
@@ -88,18 +88,15 @@ test -s target/bench/throughput.json || {
 echo "== codec-throughput gate (vs BENCH_codec_throughput.json baseline) =="
 # The bench stage above also re-measured per-codec compress/decompress
 # rates into target/bench/codec_throughput.json. Compare against the
-# committed baseline: print the PR-over-PR delta table, fail on any
-# >2x throughput regression, and require the FPC dispatch-table decoder
-# to keep its >=2x speedup over the in-tree scalar reference on
-# zero-heavy lines. The fresh artifact then becomes the new committed
-# baseline, so each PR's CI run records the rates the next PR is
-# compared against.
+# committed baseline: print the delta table, fail on any >2x
+# throughput regression, and require the FPC dispatch-table decoder to
+# keep its >=2x speedup over the in-tree scalar reference on zero-heavy
+# lines. The baseline is pinned: CI never overwrites it.
 test -s target/bench/codec_throughput.json || {
     echo "codec throughput bench artifact missing" >&2
     exit 1
 }
 cargo run -q --release --offline --example codec_gate
-cp target/bench/codec_throughput.json BENCH_codec_throughput.json
 
 echo "== result-store gate (cold -> warm: 0 recomputes, digest unchanged) =="
 # The smoke grid runs twice against one store: the cold pass computes and
@@ -177,7 +174,6 @@ test -s target/bench/service_metrics.json || {
     echo "service metrics bench artifact missing" >&2
     exit 1
 }
-cp target/bench/service_metrics.json BENCH_service_metrics.json
 dashboard_store=$(mktemp -d)
 CMPSIM_STORE="$dashboard_store" \
     cargo run -q --release --offline --example ops_dashboard -- --check > /dev/null

@@ -14,15 +14,34 @@
 //!   [`SimError::FaultBudgetExhausted`] carrying a flight-recorder tail.
 
 use cmpsim::{
-    run_grid_parallel, run_grid_serial, workload, FaultPlan, SimError, SimLength, System,
-    SystemConfig, Variant,
+    run_grid_resilient, workload, FaultPlan, GridCell, ResilienceOptions, SimError, SimLength,
+    System, SystemConfig, Variant,
 };
+use cmpsim_harness::Supervisor;
+use cmpsim_trace::WorkloadSpec;
 
 const SEED: u64 = 7;
 const RATE: f64 = 0.02;
 
 fn base() -> SystemConfig {
     SystemConfig::paper_default(2).with_seed(11)
+}
+
+/// The grid driver on `threads` workers, failing fast.
+fn grid(
+    specs: &[WorkloadSpec],
+    variants: &[Variant],
+    len: SimLength,
+    threads: usize,
+) -> Vec<GridCell> {
+    let opts = ResilienceOptions {
+        supervisor: Supervisor::with_threads(threads),
+        ..ResilienceOptions::default()
+    };
+    run_grid_resilient(specs, &base(), variants, len, &opts)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap()
 }
 
 fn run_cell(variant: Variant, chaos: Option<FaultPlan>) -> cmpsim::RunResult {
@@ -93,8 +112,8 @@ fn env_armed_chaos_grid_is_thread_invariant() {
     let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
     let variants = [Variant::Base, Variant::PrefetchCompression];
     let len = SimLength { warmup: 2_000, measure: 8_000 };
-    let serial = run_grid_serial(&specs, &base(), &variants, len).unwrap();
-    let rerun = run_grid_serial(&specs, &base(), &variants, len).unwrap();
+    let serial = grid(&specs, &variants, len, 1);
+    let rerun = grid(&specs, &variants, len, 1);
     assert_eq!(serial, rerun, "repeated env-armed invocations must be bit-identical");
     assert!(
         serial.iter().any(|c| {
@@ -104,7 +123,7 @@ fn env_armed_chaos_grid_is_thread_invariant() {
         "the armed grid should see some injections"
     );
     for threads in [1, 2, 8] {
-        let par = run_grid_parallel(&specs, &base(), &variants, len, threads).unwrap();
+        let par = grid(&specs, &variants, len, threads);
         assert_eq!(serial, par, "chaos grid diverged at {threads} threads");
     }
     std::env::remove_var("CMPSIM_CHAOS");

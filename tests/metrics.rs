@@ -1,11 +1,11 @@
-//! Integration tests for the service-metrics layer: the grid drivers'
+//! Integration tests for the service-metrics layer: the grid driver's
 //! registry accounting agrees with the store's own stats and never
 //! perturbs results, and the atomic-write discipline for metric
 //! artifacts leaves no torn or temporary files.
 
 use cmpsim::core::store::ResultStore;
-use cmpsim::{run_grid_parallel_store, SimLength, SystemConfig, Variant};
-use cmpsim_harness::metrics;
+use cmpsim::{run_grid_resilient, GridCell, ResilienceOptions, SimLength, SystemConfig, Variant};
+use cmpsim_harness::{metrics, Supervisor};
 use std::sync::Arc;
 
 fn temp_dir(name: &str) -> std::path::PathBuf {
@@ -32,11 +32,21 @@ fn grid_metrics_account_and_stay_inert() {
     ];
     let variants = [Variant::Base, Variant::Prefetch];
     let cells = (specs.len() * variants.len()) as u64;
+    let sweep = |store: &Arc<ResultStore>| -> Vec<GridCell> {
+        let opts = ResilienceOptions {
+            supervisor: Supervisor::with_threads(2),
+            journal: None,
+            store: Some(Arc::clone(store)),
+        };
+        run_grid_resilient(&specs, &base, &variants, len, &opts)
+            .into_iter()
+            .collect::<Result<_, _>>()
+            .expect("grid resolves")
+    };
 
     let before = metrics::global().snapshot();
     let cold_store: Arc<ResultStore> = ResultStore::open(&dir);
-    let cold = run_grid_parallel_store(&specs, &base, &variants, len, 2, &cold_store)
-        .expect("cold grid simulates");
+    let cold = sweep(&cold_store);
     let after_cold = metrics::global().snapshot();
 
     let d = |snap: &metrics::MetricsSnapshot, prev: &metrics::MetricsSnapshot, k: &str| {
@@ -55,8 +65,7 @@ fn grid_metrics_account_and_stay_inert() {
     // Warm pass through a fresh handle: all cache, and — the inertness
     // contract — bit-identical results to the cold pass.
     let warm_store: Arc<ResultStore> = ResultStore::open(&dir);
-    let warm = run_grid_parallel_store(&specs, &base, &variants, len, 2, &warm_store)
-        .expect("warm grid resolves");
+    let warm = sweep(&warm_store);
     let after_warm = metrics::global().snapshot();
     assert_eq!(d(&after_warm, &after_cold, "grid_cells_computed"), 0);
     assert_eq!(d(&after_warm, &after_cold, "grid_cells_cached"), cells);

@@ -11,7 +11,7 @@
 //!   `.idx` sidecar was rebuilt.
 
 use cmpsim::core::experiment::{
-    run_cells_resilient, run_grid_serial, run_variant, ResilienceOptions, SimLength,
+    run_cells_resilient, run_grid_resilient, run_variant, ResilienceOptions, SimLength,
 };
 use cmpsim::core::flatjson::JsonVal;
 use cmpsim::core::journal;
@@ -78,7 +78,14 @@ fn non_utf8_byte_in_one_journal_record_reruns_only_that_cell() {
     bytes[(starts[2] + starts[3]) / 2] = 0xff;
     fs::write(&path, &bytes).unwrap();
 
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, len).unwrap();
+    let one_worker = ResilienceOptions {
+        supervisor: Supervisor::with_threads(1),
+        ..ResilienceOptions::default()
+    };
+    let serial: Vec<_> = run_grid_resilient(&specs, &base, &VARIANTS, len, &one_worker)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap();
     // The first resume re-runs the damaged cell and journals it again;
     // the second finds every cell.
     for (resume, reruns) in [(1, 1), (2, 0)] {

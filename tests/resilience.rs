@@ -8,11 +8,10 @@
 //!   per-cell [`CellError`] while every other cell completes;
 //! - a sweep killed mid-run and re-invoked with the same journal skips
 //!   completed cells and produces results **bit-identical** to an
-//!   uninterrupted `run_grid_serial`.
+//!   uninterrupted sweep on one worker.
 
 use cmpsim::core::experiment::{
-    run_cells_resilient, run_grid_resilient, run_grid_serial, run_variant, ResilienceOptions,
-    SimLength,
+    run_cells_resilient, run_grid_resilient, run_variant, GridCell, ResilienceOptions, SimLength,
 };
 use cmpsim::core::journal;
 use cmpsim::{workload, CellError, SimError, System, SystemConfig, Variant};
@@ -42,6 +41,23 @@ fn quick_supervisor() -> Supervisor {
     }
 }
 
+/// The uninterrupted reference: the grid driver on one worker, failing
+/// fast.
+fn serial(
+    specs: &[cmpsim_trace::WorkloadSpec],
+    base: &SystemConfig,
+    len: SimLength,
+) -> Vec<GridCell> {
+    let opts = ResilienceOptions {
+        supervisor: Supervisor::with_threads(1),
+        ..ResilienceOptions::default()
+    };
+    run_grid_resilient(specs, base, &VARIANTS, len, &opts)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap()
+}
+
 /// A unique, pre-cleaned journal path for one test.
 fn temp_journal(name: &str) -> PathBuf {
     let path = std::env::temp_dir()
@@ -54,7 +70,7 @@ fn temp_journal(name: &str) -> PathBuf {
 fn healthy_resilient_sweep_matches_serial_bit_for_bit() {
     let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
     let base = small_base();
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, short()).unwrap();
+    let serial = serial(&specs, &base, short());
     let opts = ResilienceOptions { supervisor: quick_supervisor(), journal: None, store: None };
     let resilient = run_grid_resilient(&specs, &base, &VARIANTS, short(), &opts);
     let cells: Vec<_> = resilient
@@ -255,7 +271,7 @@ fn killed_sweep_resumes_from_journal_bit_identically() {
     );
 
     // The assembled grid equals an uninterrupted serial sweep, exactly.
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, len).unwrap();
+    let serial = serial(&specs, &base, len);
     let cells: Vec<_> = resumed.into_iter().map(|r| r.unwrap()).collect();
     assert_eq!(serial, cells, "resumed grid diverged from the uninterrupted run");
 
@@ -343,7 +359,7 @@ fn journal_truncated_at_every_byte_offset_recovers_all_intact_cells() {
         run_variant(s, b, v, len)
     });
     assert_eq!(calls.load(Ordering::SeqCst), 1, "only the torn cell re-runs");
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, len).unwrap();
+    let serial = serial(&specs, &base, len);
     let cells: Vec<_> = resumed.into_iter().map(|r| r.unwrap()).collect();
     assert_eq!(serial, cells, "post-repair resume diverged from the uninterrupted run");
     let _ = std::fs::remove_file(&path);

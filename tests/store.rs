@@ -1,7 +1,8 @@
 //! Acceptance properties of the content-addressed result store:
 //!
 //! - **bit-inertness**: warm-store reruns return results bit-identical
-//!   to the cold run (and to `run_grid_serial`) at 1, 2 and 8 threads;
+//!   to the cold run (and to a storeless run on one worker) at 1, 2 and
+//!   8 threads;
 //! - **sweep dedup**: two overlapping sweeps sharing a store compute
 //!   each shared cell exactly once — sequentially (the second computes
 //!   only its delta) and concurrently (in-flight leases);
@@ -9,12 +10,11 @@
 //!   and recomputed, never served;
 //! - **bounded size**: LRU eviction keeps the data files under budget
 //!   while the most recently used sweep stays warm;
-//! - the resilient driver consults the store too, and mirrors hits into
-//!   its journal so a journal-only resume stays complete.
+//! - the driver mirrors store hits into its journal so a journal-only
+//!   resume stays complete.
 
 use cmpsim::core::experiment::{
-    run_cells_resilient, run_grid_parallel_store, run_grid_resilient, run_grid_serial,
-    run_variant, ResilienceOptions, SimLength,
+    run_cells_resilient, run_grid_resilient, run_variant, GridCell, ResilienceOptions, SimLength,
 };
 use cmpsim::core::journal;
 use cmpsim::core::store::{CellKey, ResultStore};
@@ -35,6 +35,26 @@ fn small_base() -> SystemConfig {
     SystemConfig::paper_default(2).with_seed(11)
 }
 
+/// The grid driver on `threads` workers, consulting and feeding `store`
+/// when given one, failing fast.
+fn grid(
+    specs: &[cmpsim_trace::WorkloadSpec],
+    base: &SystemConfig,
+    len: SimLength,
+    threads: usize,
+    store: Option<&Arc<ResultStore>>,
+) -> Vec<GridCell> {
+    let opts = ResilienceOptions {
+        supervisor: Supervisor::with_threads(threads),
+        journal: None,
+        store: store.cloned(),
+    };
+    run_grid_resilient(specs, base, &VARIANTS, len, &opts)
+        .into_iter()
+        .collect::<Result<_, _>>()
+        .unwrap()
+}
+
 /// A unique, pre-cleaned store directory for one test.
 fn temp_store(name: &str) -> PathBuf {
     let dir = std::env::temp_dir()
@@ -48,11 +68,10 @@ fn warm_store_is_bit_identical_at_1_2_and_8_threads() {
     let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
     let base = small_base();
     let dir = temp_store("bit-identity");
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, short()).unwrap();
+    let serial = grid(&specs, &base, short(), 1, None);
 
     let cold_store = ResultStore::with_capacity(&dir, u64::MAX);
-    let cold =
-        run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 2, &cold_store).unwrap();
+    let cold = grid(&specs, &base, short(), 2, Some(&cold_store));
     // RunResult derives PartialEq over every counter and every f64, so
     // == here is bit-exactness, not approximation.
     assert_eq!(serial, cold, "store-fed cold run must match the serial engine");
@@ -60,9 +79,7 @@ fn warm_store_is_bit_identical_at_1_2_and_8_threads() {
 
     for threads in [1, 2, 8] {
         let warm_store = ResultStore::with_capacity(&dir, u64::MAX);
-        let warm =
-            run_grid_parallel_store(&specs, &base, &VARIANTS, short(), threads, &warm_store)
-                .unwrap();
+        let warm = grid(&specs, &base, short(), threads, Some(&warm_store));
         assert_eq!(serial, warm, "warm store diverged at {threads} threads");
         let s = warm_store.stats();
         assert_eq!(s.published, 0, "warm rerun must compute 0 cells ({threads} threads)");
@@ -80,7 +97,7 @@ fn overlapping_sequential_sweeps_compute_only_the_delta() {
 
     let sweep_a = vec![workload("apsi").unwrap(), workload("mgrid").unwrap()];
     let store = ResultStore::with_capacity(&dir, u64::MAX);
-    run_grid_parallel_store(&sweep_a, &base, &VARIANTS, short(), 2, &store).unwrap();
+    grid(&sweep_a, &base, short(), 2, Some(&store));
     assert_eq!(store.stats().published, 4);
 
     // Sweep B shares apsi/mgrid with A and adds art: only art's cells
@@ -92,13 +109,12 @@ fn overlapping_sequential_sweeps_compute_only_the_delta() {
         workload("art").unwrap(),
     ];
     let store_b = ResultStore::with_capacity(&dir, u64::MAX);
-    let cells_b =
-        run_grid_parallel_store(&sweep_b, &base, &VARIANTS, short(), 2, &store_b).unwrap();
+    let cells_b = grid(&sweep_b, &base, short(), 2, Some(&store_b));
     let s = store_b.stats();
     assert_eq!(s.published, 2, "only art × 2 variants computed");
     assert_eq!(s.hits, 4, "apsi/mgrid served from sweep A's results");
     // And the shared cells are bit-identical to a from-scratch run.
-    let scratch = run_grid_serial(&sweep_b, &base, &VARIANTS, short()).unwrap();
+    let scratch = grid(&sweep_b, &base, short(), 1, None);
     assert_eq!(scratch, cells_b);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -109,7 +125,7 @@ fn concurrent_sweeps_sharing_a_store_compute_each_cell_once() {
     let base = small_base();
     let dir = temp_store("overlap-concurrent");
     let store = ResultStore::with_capacity(&dir, u64::MAX);
-    let serial = run_grid_serial(&specs, &base, &VARIANTS, short()).unwrap();
+    let serial = grid(&specs, &base, short(), 1, None);
 
     // Two identical sweeps race on one store handle. Leases guarantee
     // each of the 4 cells is simulated exactly once; the loser of each
@@ -119,9 +135,7 @@ fn concurrent_sweeps_sharing_a_store_compute_each_cell_once() {
             let specs = specs.clone();
             let base = base.clone();
             let store = Arc::clone(&store);
-            std::thread::spawn(move || {
-                run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 2, &store).unwrap()
-            })
+            std::thread::spawn(move || grid(&specs, &base, short(), 2, Some(&store)))
         })
         .collect();
     for t in threads {
@@ -140,7 +154,7 @@ fn corrupted_and_torn_records_are_recomputed_not_served() {
     let dir = temp_store("corruption");
 
     let store = ResultStore::with_capacity(&dir, u64::MAX);
-    let cold = run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 1, &store).unwrap();
+    let cold = grid(&specs, &base, short(), 1, Some(&store));
     drop(store);
 
     // Flip a digit inside the first record's body and tear the tail off
@@ -155,8 +169,7 @@ fn corrupted_and_torn_records_are_recomputed_not_served() {
     let _ = std::fs::remove_file(dir.join(format!("{fp:016x}.idx")));
 
     let warm_store = ResultStore::with_capacity(&dir, u64::MAX);
-    let warm =
-        run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 1, &warm_store).unwrap();
+    let warm = grid(&specs, &base, short(), 1, Some(&warm_store));
     assert_eq!(cold, warm, "recomputed cells must be bit-identical");
     let s = warm_store.stats();
     assert_eq!(s.published, 2, "both damaged cells recomputed");
@@ -178,7 +191,7 @@ fn resilient_driver_uses_and_feeds_the_store() {
 
     // Pre-warm the store with one sweep (no journal involved).
     let store = ResultStore::with_capacity(&dir, u64::MAX);
-    run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 2, &store).unwrap();
+    grid(&specs, &base, short(), 2, Some(&store));
 
     // A resilient sweep over the same grid must simulate nothing: every
     // cell is a store hit, counted via the injected cell function.
@@ -197,7 +210,7 @@ fn resilient_driver_uses_and_feeds_the_store() {
     });
     assert_eq!(calls.load(Ordering::SeqCst), 0, "warm resilient sweep computed a cell");
     let cells: Vec<_> = out.into_iter().map(|r| r.unwrap()).collect();
-    assert_eq!(cells, run_grid_serial(&specs, &base, &VARIANTS, len).unwrap());
+    assert_eq!(cells, grid(&specs, &base, len, 1, None));
 
     // Store hits were mirrored into the journal: a journal-only resume
     // (store disabled) also computes nothing.
@@ -256,7 +269,7 @@ fn lru_eviction_keeps_recent_sweeps_warm_within_budget() {
     // Size one sweep's data file, then budget for ~1.5 of them.
     let probe_dir = temp_store("lru-bound-probe");
     let probe = ResultStore::with_capacity(&probe_dir, u64::MAX);
-    run_grid_parallel_store(&specs, &base, &VARIANTS, short(), 1, &probe).unwrap();
+    grid(&specs, &base, short(), 1, Some(&probe));
     let fp0 = journal::fingerprint(&base, short());
     let one = std::fs::metadata(probe_dir.join(format!("{fp0:016x}.jsonl"))).unwrap().len();
     let _ = std::fs::remove_dir_all(&probe_dir);
@@ -268,7 +281,7 @@ fn lru_eviction_keeps_recent_sweeps_warm_within_budget() {
     let lens = [short(), SimLength { warmup: 2_000, measure: 8_100 },
         SimLength { warmup: 2_000, measure: 8_200 }];
     for len in lens {
-        run_grid_parallel_store(&specs, &base, &VARIANTS, len, 1, &store).unwrap();
+        grid(&specs, &base, len, 1, Some(&store));
     }
     assert!(store.stats().evicted_files >= 1, "budget forced evictions");
     let total: u64 = std::fs::read_dir(&dir)
@@ -283,7 +296,7 @@ fn lru_eviction_keeps_recent_sweeps_warm_within_budget() {
     assert!(total <= budget, "data files {total} bytes exceed budget {budget}");
     // The most recent sweep survived: re-running it computes nothing.
     let warm = ResultStore::with_capacity(&dir, budget);
-    run_grid_parallel_store(&specs, &base, &VARIANTS, lens[2], 1, &warm).unwrap();
+    grid(&specs, &base, lens[2], 1, Some(&warm));
     assert_eq!(warm.stats().published, 0, "most recently used sweep was evicted");
     let _ = std::fs::remove_dir_all(&dir);
 }
