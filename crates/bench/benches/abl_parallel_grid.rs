@@ -13,7 +13,7 @@ use cmpsim_core::experiment::{run_grid_resilient, GridCell, ResilienceOptions, S
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_harness::bench::Runner;
 use cmpsim_harness::supervise::default_threads;
-use cmpsim_harness::{env_u64, Supervisor};
+use cmpsim_harness::{knobs, Supervisor};
 use cmpsim_trace::all_workloads;
 
 fn main() {
@@ -21,8 +21,8 @@ fn main() {
     // Short per-cell runs by default so the sweep finishes in seconds;
     // override for a realistic-length measurement.
     let len = SimLength {
-        warmup: env_u64("CMPSIM_WARMUP").unwrap_or(20_000),
-        measure: env_u64("CMPSIM_MEASURE").unwrap_or(80_000),
+        warmup: knobs().warmup.unwrap_or(20_000),
+        measure: knobs().measure.unwrap_or(80_000),
     };
     let specs = all_workloads();
     let variants = [

@@ -6,9 +6,8 @@
 //! This is the ROADMAP's "95% of cells were already computed" scenario
 //! measured end to end: the warm number is the cost of a sweep whose
 //! work already exists, and the speedup column is what the store buys a
-//! re-run. Knobs: `CMPSIM_WARMUP`/`CMPSIM_MEASURE` set the grid size,
-//! `CMPSIM_STORE` relocates the scratch store (a fresh subdirectory is
-//! used either way so "cold" is honest).
+//! re-run. Knobs: `CMPSIM_WARMUP`/`CMPSIM_MEASURE` set the grid size.
+//! The store is a fresh scratch directory, so "cold" is honest.
 
 use cmpsim_bench::SEED;
 use cmpsim_core::experiment::{run_grid_resilient, GridCell, ResilienceOptions, SimLength};
@@ -16,7 +15,7 @@ use cmpsim_core::report::grid_digest;
 use cmpsim_core::store::ResultStore;
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_harness::bench::Runner;
-use cmpsim_harness::env_u64;
+use cmpsim_harness::knobs;
 use cmpsim_trace::all_workloads;
 use std::sync::Arc;
 use std::time::Instant;
@@ -26,8 +25,8 @@ const VARIANTS: [Variant; 4] =
 
 fn main() {
     let len = SimLength {
-        warmup: env_u64("CMPSIM_WARMUP").unwrap_or(5_000),
-        measure: env_u64("CMPSIM_MEASURE").unwrap_or(20_000),
+        warmup: knobs().warmup.unwrap_or(5_000),
+        measure: knobs().measure.unwrap_or(20_000),
     };
     let specs = all_workloads();
     let base = SystemConfig::paper_default(4).with_seed(SEED);

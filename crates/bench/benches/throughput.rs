@@ -19,7 +19,7 @@ use cmpsim_core::report::{
 use cmpsim_core::{SystemConfig, Variant};
 use cmpsim_fpc::{CodecKind, LINE_BYTES};
 use cmpsim_harness::bench::Runner;
-use cmpsim_harness::{env_u64, Supervisor};
+use cmpsim_harness::{knobs, Supervisor};
 use cmpsim_trace::{all_workloads, LineClass};
 
 const VARIANTS: [Variant; 4] =
@@ -30,8 +30,8 @@ fn main() {
     // harnesses' standard lengths are ~20× longer and only change the
     // absolute rates, not the variant-to-variant shape.
     let len = SimLength {
-        warmup: env_u64("CMPSIM_WARMUP").unwrap_or(5_000),
-        measure: env_u64("CMPSIM_MEASURE").unwrap_or(20_000),
+        warmup: knobs().warmup.unwrap_or(5_000),
+        measure: knobs().measure.unwrap_or(20_000),
     };
     let specs = all_workloads();
     let base = SystemConfig::paper_default(4).with_seed(SEED);
@@ -84,7 +84,7 @@ fn main() {
     // so the artifact records which one produced it.
     r.metric(
         "tracing_enabled",
-        if cmpsim_harness::telemetry::trace_enabled() { 1.0 } else { 0.0 },
+        if knobs().trace { 1.0 } else { 0.0 },
     );
 
     println!("{}", throughput_summary(all_cells.iter().map(|c| &c.result)));
@@ -118,7 +118,7 @@ const CODEC_LINES: usize = 256;
 /// reference decoder measured alongside the dispatch-table/SWAR fast path
 /// so decode speedups stay visible.
 fn codec_throughput_bench() {
-    let iters = env_u64("CMPSIM_CODEC_ITERS").unwrap_or(200) as u32;
+    let iters: u32 = 200; // passes over the batch per measured sample
     let mut r = Runner::new("codec_throughput", 1, 3);
     let mut rows = Vec::new();
     for (label, class) in CODEC_CLASSES {

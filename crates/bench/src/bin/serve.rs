@@ -45,7 +45,7 @@
 //!
 //! Every request carries a connection id and per-connection request id,
 //! threaded into the structured access log (`--access-log <path>` or
-//! `CMPSIM_ACCESS_LOG`): a crash-safe sealed JSONL file
+//! the `CMPSIM_ACCESS_LOG` knob): a crash-safe sealed JSONL file
 //! ([`cmpsim_core::seallog`]) whose header goes through tempfile +
 //! atomic rename and whose records are CRC-sealed single writes, so a
 //! killed daemon never leaves a torn artifact. Example session:
@@ -54,6 +54,9 @@
 //! printf '%s\n' '{"sweep":"s","workloads":"apsi","cores":2,"warmup":2000,"measure":8000}' \
 //!   | CMPSIM_STORE=target/store cargo run --release -p cmpsim-bench --bin serve
 //! ```
+//!
+//! `serve --help` prints the table of `CMPSIM_*` knobs. A malformed knob
+//! value exits with status 2 before the daemon starts.
 
 use cmpsim_core::experiment::{run_grid_resilient, GridCell, ResilienceOptions, SimLength};
 use cmpsim_core::flatjson::{parse_flat, JsonVal};
@@ -62,7 +65,7 @@ use cmpsim_core::store::{CellKey, ResultStore};
 use cmpsim_core::{journal, CodecKind, SystemConfig, Variant};
 use cmpsim_harness::metrics::{self, Counter, Histogram};
 use cmpsim_harness::supervise::default_threads;
-use cmpsim_harness::Supervisor;
+use cmpsim_harness::{knobs, Supervisor};
 use cmpsim_trace::{all_workloads, WorkloadSpec};
 use std::collections::HashMap;
 use std::io::{BufRead, BufReader, Write};
@@ -97,7 +100,6 @@ enum Parsed {
 }
 
 /// Request-path service metrics, registered under `serve_*` names.
-/// `None` when `CMPSIM_METRICS=0`.
 struct ServeMetrics {
     connections: Counter,
     requests: Counter,
@@ -108,19 +110,16 @@ struct ServeMetrics {
 }
 
 impl ServeMetrics {
-    fn arm() -> Option<Arc<ServeMetrics>> {
-        if !metrics::enabled() {
-            return None;
-        }
+    fn register() -> Arc<ServeMetrics> {
         let r = metrics::global();
-        Some(Arc::new(ServeMetrics {
+        Arc::new(ServeMetrics {
             connections: r.counter("serve_connections"),
             requests: r.counter("serve_requests"),
             sweeps: r.counter("serve_sweeps"),
             cells: r.counter("serve_cells"),
             errors: r.counter("serve_errors"),
             request_nanos: r.histogram("serve_request_nanos"),
-        }))
+        })
     }
 }
 
@@ -128,7 +127,7 @@ impl ServeMetrics {
 /// metric handles and (optional) sealed access log.
 struct Ctx {
     conn: u64,
-    metrics: Option<Arc<ServeMetrics>>,
+    metrics: Arc<ServeMetrics>,
     log: Option<Arc<Mutex<SealedLog>>>,
 }
 
@@ -327,9 +326,8 @@ fn serve_stream(
     store: &Arc<ResultStore>,
     ctx: &Ctx,
 ) -> std::io::Result<bool> {
-    if let Some(m) = &ctx.metrics {
-        m.connections.inc();
-    }
+    let m = &ctx.metrics;
+    m.connections.inc();
     let mut req_id = 0u64;
     for line in reader.lines() {
         let line = line?;
@@ -338,31 +336,25 @@ fn serve_stream(
         }
         req_id += 1;
         let t0 = Instant::now();
-        if let Some(m) = &ctx.metrics {
-            m.requests.inc();
-        }
+        m.requests.inc();
         match parse_request(&line) {
             Ok(Parsed::Sweep(req)) => {
                 let cells = serve_sweep(&req, store, out)?;
-                if let Some(m) = &ctx.metrics {
-                    match cells {
-                        Some(n) => {
-                            m.sweeps.inc();
-                            m.cells.add(n as u64);
-                        }
-                        None => m.errors.inc(),
+                match cells {
+                    Some(n) => {
+                        m.sweeps.inc();
+                        m.cells.add(n as u64);
                     }
-                    m.request_nanos.record_elapsed(t0);
+                    None => m.errors.inc(),
                 }
+                m.request_nanos.record_elapsed(t0);
                 let kind = if cells.is_some() { "sweep" } else { "sweep_error" };
                 let cells = cells.unwrap_or(0);
                 ctx.log_request(req_id, kind, &sanitize(&req.sweep), cells, t0);
             }
             Ok(Parsed::Metrics { prometheus }) => {
                 serve_metrics(store, prometheus, out)?;
-                if let Some(m) = &ctx.metrics {
-                    m.request_nanos.record_elapsed(t0);
-                }
+                m.request_nanos.record_elapsed(t0);
                 ctx.log_request(req_id, "metrics", "", 0, t0);
             }
             Ok(Parsed::Shutdown) => {
@@ -372,10 +364,8 @@ fn serve_stream(
             Err(e) => {
                 writeln!(out, "{{\"error\":\"{}\"}}", sanitize(&e))?;
                 out.flush()?;
-                if let Some(m) = &ctx.metrics {
-                    m.errors.inc();
-                    m.request_nanos.record_elapsed(t0);
-                }
+                m.errors.inc();
+                m.request_nanos.record_elapsed(t0);
                 ctx.log_request(req_id, "parse_error", "", 0, t0);
             }
         }
@@ -402,20 +392,24 @@ fn closing_summary(store: &Arc<ResultStore>) {
     );
 }
 
+const USAGE: &str = "usage: serve [--socket <path>] [--access-log <path>]   \
+                     (requests on stdin by default; CMPSIM_ACCESS_LOG also sets the log)";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "--help") {
+        println!("{USAGE}\n\n{}", cmpsim_harness::knobs::help());
+        return;
+    }
     let mut socket: Option<String> = None;
-    let mut access_log: Option<String> = std::env::var("CMPSIM_ACCESS_LOG").ok();
+    let mut access_log = knobs().access_log.clone();
     let mut it = args.iter();
     while let Some(flag) = it.next() {
         match (flag.as_str(), it.next()) {
             ("--socket", Some(path)) => socket = Some(path.clone()),
-            ("--access-log", Some(path)) => access_log = Some(path.clone()),
+            ("--access-log", Some(path)) => access_log = Some(path.into()),
             _ => {
-                eprintln!(
-                    "usage: serve [--socket <path>] [--access-log <path>]   \
-                     (requests on stdin by default; CMPSIM_ACCESS_LOG also sets the log)"
-                );
+                eprintln!("{USAGE}");
                 std::process::exit(2);
             }
         }
@@ -423,14 +417,14 @@ fn main() {
 
     let store = ResultStore::open_default();
     eprintln!("cmpsim serve: store at {}", store.dir().display());
-    let serve_metrics = ServeMetrics::arm();
+    let serve_metrics = ServeMetrics::register();
     let log = access_log.and_then(|path| match SealedLog::open(&path) {
         Ok(log) => {
-            eprintln!("cmpsim serve: access log at {path}");
+            eprintln!("cmpsim serve: access log at {}", path.display());
             Some(Arc::new(Mutex::new(log)))
         }
         Err(e) => {
-            eprintln!("cmpsim serve: cannot open access log {path}: {e}");
+            eprintln!("cmpsim serve: cannot open access log {}: {e}", path.display());
             None
         }
     });

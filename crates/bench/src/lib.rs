@@ -7,7 +7,7 @@
 
 use cmpsim_core::experiment::{run_grid_resilient, ResilienceOptions, SimLength, VariantGrid};
 use cmpsim_core::{SystemConfig, Variant};
-use cmpsim_harness::env_u64;
+use cmpsim_harness::knobs;
 use cmpsim_trace::{all_workloads, WorkloadSpec};
 
 /// Paper reference values used in the `paper` columns of the harnesses.
@@ -21,13 +21,14 @@ pub const SEEDS: [u64; 3] = [11, 23, 47];
 pub const SEED: u64 = 11;
 
 /// Simulation length for harness runs; override the instruction counts
-/// with `CMPSIM_MEASURE`/`CMPSIM_WARMUP` (instructions per core) to trade
-/// fidelity for wall-clock time.
+/// with the `CMPSIM_MEASURE`/`CMPSIM_WARMUP` knobs (instructions per
+/// core) to trade fidelity for wall-clock time.
 pub fn sim_length() -> SimLength {
     let std = SimLength::standard();
-    let warmup = env_u64("CMPSIM_WARMUP").unwrap_or(std.warmup);
-    let measure = env_u64("CMPSIM_MEASURE").unwrap_or(std.measure);
-    SimLength { warmup, measure }
+    SimLength {
+        warmup: knobs().warmup.unwrap_or(std.warmup),
+        measure: knobs().measure.unwrap_or(std.measure),
+    }
 }
 
 /// Runs `variants` for every paper workload, fanning the whole
@@ -38,8 +39,8 @@ pub fn sim_length() -> SimLength {
 /// (see the determinism contract on
 /// [`run_cells_resilient`](cmpsim_core::experiment::run_cells_resilient));
 /// the figure/table harnesses use this so regenerating EXPERIMENTS.md
-/// scales with the machine. Thread count comes from `CMPSIM_THREADS`
-/// (default: all cores).
+/// scales with the machine. Thread count comes from the `CMPSIM_THREADS`
+/// knob (default: all cores).
 pub fn parallel_grids(
     base: &SystemConfig,
     variants: &[Variant],
@@ -80,8 +81,7 @@ mod tests {
 
     #[test]
     fn default_length_is_standard() {
-        // (Assumes the env overrides are unset in the test environment.)
-        if std::env::var("CMPSIM_MEASURE").is_err() {
+        if knobs().measure.is_none() {
             assert_eq!(sim_length().measure, SimLength::standard().measure);
         }
     }

@@ -2,6 +2,7 @@
 //! grid.
 
 use cmpsim_fpc::CodecKind;
+use cmpsim_harness::knobs;
 use cmpsim_link::LinkBandwidth;
 
 /// Which prefetching scheme is active.
@@ -103,15 +104,9 @@ pub struct SystemConfig {
     /// directory owner/sharer consistency, link flit conservation) during
     /// simulation, turning corruption into
     /// [`SimError::InvariantViolation`](crate::error::SimError::InvariantViolation)
-    /// even in release builds. Defaults from the `CMPSIM_CHECK=1`
-    /// environment variable; costs a few percent of runtime when on.
+    /// even in release builds. Defaults from the `CMPSIM_CHECK` knob;
+    /// costs a few percent of runtime when on.
     pub check_invariants: bool,
-}
-
-/// Whether `CMPSIM_CHECK=1` is set in the environment (the opt-in switch
-/// for [`SystemConfig::check_invariants`]).
-pub fn check_invariants_from_env() -> bool {
-    std::env::var("CMPSIM_CHECK").map(|v| v == "1").unwrap_or(false)
 }
 
 impl SystemConfig {
@@ -143,7 +138,7 @@ impl SystemConfig {
             l2_prefetch_degree: 25,
             seed: 1,
             livelock_cycle_budget: 2_000_000,
-            check_invariants: check_invariants_from_env(),
+            check_invariants: knobs().check,
         }
     }
 
@@ -186,7 +181,7 @@ impl SystemConfig {
     }
 
     /// Returns a copy with sampled invariant checking forced on or off,
-    /// overriding the `CMPSIM_CHECK` environment default.
+    /// overriding the `CMPSIM_CHECK` knob.
     pub fn with_invariant_checks(mut self, on: bool) -> Self {
         self.check_invariants = on;
         self

@@ -13,18 +13,19 @@ use crate::store::{CellKey, Lease, ResultStore};
 use crate::system::System;
 use cmpsim_harness::metrics as svc_metrics;
 use cmpsim_harness::metrics::{Counter, Gauge, Histogram};
-use cmpsim_harness::telemetry::{progress_enabled, CellState, GridProgress, Heartbeat};
-use cmpsim_harness::{run_supervised, JobOutcome, Supervisor};
+use cmpsim_harness::telemetry::{CellState, GridProgress, Heartbeat};
+use cmpsim_harness::{knobs, run_supervised, JobOutcome, Supervisor};
 use cmpsim_trace::WorkloadSpec;
 use std::collections::HashMap;
+use std::io::IsTerminal;
 use std::path::PathBuf;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// Service-metric handles for the grid driver, registered in the global
-/// [`svc_metrics`] registry under `grid_*` names. `None` when
-/// `CMPSIM_METRICS=0`. Observe-only, like [`GridProgress`]: recording
-/// feeds nothing back into scheduling or results.
+/// [`svc_metrics`] registry under `grid_*` names. Observe-only, like
+/// [`GridProgress`]: recording feeds nothing back into scheduling or
+/// results.
 struct GridMetrics {
     computed: Counter,
     cached: Counter,
@@ -37,12 +38,9 @@ struct GridMetrics {
 }
 
 impl GridMetrics {
-    fn arm() -> Option<GridMetrics> {
-        if !svc_metrics::enabled() {
-            return None;
-        }
+    fn register() -> GridMetrics {
         let r = svc_metrics::global();
-        Some(GridMetrics {
+        GridMetrics {
             computed: r.counter("grid_cells_computed"),
             cached: r.counter("grid_cells_cached"),
             failed: r.counter("grid_cells_failed"),
@@ -51,7 +49,7 @@ impl GridMetrics {
             quarantined: r.counter("grid_cells_quarantined"),
             compute_nanos: r.histogram("grid_cell_compute_nanos"),
             queue_depth: r.gauge("grid_queue_depth"),
-        })
+        }
     }
 }
 
@@ -186,8 +184,8 @@ pub struct GridCell {
 /// sweep.
 #[derive(Debug, Clone, Default)]
 pub struct ResilienceOptions {
-    /// Worker count, per-cell deadline (`CMPSIM_CELL_DEADLINE_MS`), and
-    /// retry policy.
+    /// Worker count, per-cell deadline (the `CMPSIM_CELL_DEADLINE_MS`
+    /// knob), and retry policy.
     pub supervisor: Supervisor,
     /// Checkpoint journal path; `None` disables checkpointing. See
     /// [`ResilienceOptions::default_journal_path`] for the conventional
@@ -214,9 +212,11 @@ impl ResilienceOptions {
     }
 
     /// The conventional journal location for a named sweep:
-    /// `target/grid/<sweep>.jsonl` (overridable via `CMPSIM_GRID_DIR`).
+    /// `target/grid/<sweep>.jsonl` (overridable with the `CMPSIM_GRID_DIR`
+    /// knob).
     pub fn default_journal_path(sweep: &str) -> PathBuf {
-        svc_metrics::artifact_dir("CMPSIM_GRID_DIR", "grid").join(format!("{sweep}.jsonl"))
+        svc_metrics::artifact_dir(knobs().grid_dir.as_deref(), "grid")
+            .join(format!("{sweep}.jsonl"))
     }
 }
 
@@ -312,9 +312,14 @@ where
         journal: journal.map(Mutex::new),
         store: opts.store.clone(),
         progress: Arc::new(progress),
-        metrics: GridMetrics::arm(),
+        metrics: GridMetrics::register(),
     });
-    let heartbeat = progress_enabled().then(|| Heartbeat::start(Arc::clone(&sweep.progress)));
+    // The heartbeat defaults to on only when stderr is a terminal, so
+    // tests and CI logs stay clean.
+    let heartbeat = knobs()
+        .progress
+        .unwrap_or_else(|| std::io::stderr().is_terminal())
+        .then(|| Heartbeat::start(Arc::clone(&sweep.progress)));
     let cell_fn = Arc::new(cell_fn);
     let mut out: Vec<Option<Result<GridCell, CellError>>> = Vec::with_capacity(n);
     let mut jobs = Vec::new();
@@ -329,11 +334,11 @@ where
             };
             let ready = if let Some(result) = completed.get(&(spec.name.to_string(), variant)) {
                 sweep.progress.cell_skipped(idx);
-                sweep.count(|m| &m.skipped);
+                sweep.metrics.skipped.inc();
                 Some(Ok(cell(result.clone())))
             } else if let Some(failures) = snapshot.quarantined(spec.name, variant, base.seed) {
                 sweep.progress.cell_skipped(idx);
-                sweep.count(|m| &m.quarantined);
+                sweep.metrics.quarantined.inc();
                 Some(Err(CellError::Quarantined { workload: spec.name, variant, failures }))
             } else if let Some(result) = stored() {
                 sweep.cached(idx, spec.name, variant, &result);
@@ -349,9 +354,7 @@ where
         }
     }
 
-    if let Some(m) = &sweep.metrics {
-        m.queue_depth.add(jobs.len() as u64);
-    }
+    sweep.metrics.queue_depth.add(jobs.len() as u64);
     let outcomes = run_supervised(&opts.supervisor, jobs);
     for ((slot, workload, variant), outcome) in scheduled.into_iter().zip(outcomes) {
         // Panicked/timed-out jobs never reached their own `cell_finished`;
@@ -363,10 +366,8 @@ where
             CellState::Done | CellState::Failed | CellState::Cached
         ) {
             sweep.progress.cell_finished(slot, false, 0, 0);
-            if let Some(m) = &sweep.metrics {
-                m.failed.inc();
-                m.queue_depth.sub(1);
-            }
+            sweep.metrics.failed.inc();
+            sweep.metrics.queue_depth.sub(1);
         }
         let resolved = match outcome {
             JobOutcome::Ok(Ok(result)) => {
@@ -404,17 +405,10 @@ struct Sweep {
     journal: Option<Mutex<Journal>>,
     store: Option<Arc<ResultStore>>,
     progress: Arc<GridProgress>,
-    metrics: Option<GridMetrics>,
+    metrics: GridMetrics,
 }
 
 impl Sweep {
-    /// Increments one `grid_*` counter, if metrics are armed.
-    fn count(&self, counter: impl FnOnce(&GridMetrics) -> &Counter) {
-        if let Some(m) = &self.metrics {
-            counter(m).inc();
-        }
-    }
-
     /// Checkpoints a completed cell, so a later kill loses only cells
     /// that had not finished.
     fn journal_cell(&self, workload: &str, variant: Variant, result: &RunResult) {
@@ -434,7 +428,7 @@ impl Sweep {
     /// journal.
     fn cached(&self, idx: usize, workload: &str, variant: Variant, result: &RunResult) {
         self.progress.cell_cached(idx);
-        self.count(|m| &m.cached);
+        self.metrics.cached.inc();
         self.journal_cell(workload, variant, result);
     }
 
@@ -459,9 +453,7 @@ impl Sweep {
             match s.lease(self.fingerprint, &CellKey::new(spec.name, variant, self.seed)) {
                 Lease::Hit(result) => {
                     self.cached(idx, spec.name, variant, &result);
-                    if let Some(m) = &self.metrics {
-                        m.queue_depth.sub(1);
-                    }
+                    self.metrics.queue_depth.sub(1);
                     return Ok(result);
                 }
                 Lease::Compute(l) => lease = Some(l),
@@ -471,7 +463,7 @@ impl Sweep {
         // marked Running/Retrying: that re-entry is the retry the
         // `grid_retries` counter tallies.
         if matches!(self.progress.state(idx), CellState::Running | CellState::Retrying) {
-            self.count(|m| &m.retries);
+            self.metrics.retries.inc();
         }
         self.progress.cell_started(idx);
         let compute_start = Instant::now();
@@ -479,19 +471,15 @@ impl Sweep {
         match &result {
             Ok(r) => {
                 self.progress.cell_finished(idx, true, r.events, r.host_nanos);
-                if let Some(m) = &self.metrics {
-                    m.computed.inc();
-                    m.compute_nanos.record_elapsed(compute_start);
-                }
+                self.metrics.computed.inc();
+                self.metrics.compute_nanos.record_elapsed(compute_start);
             }
             Err(_) => {
                 self.progress.cell_finished(idx, false, 0, 0);
-                self.count(|m| &m.failed);
+                self.metrics.failed.inc();
             }
         }
-        if let Some(m) = &self.metrics {
-            m.queue_depth.sub(1);
-        }
+        self.metrics.queue_depth.sub(1);
         let result = result?;
         if let Some(l) = lease {
             if let Err(e) = l.publish(&result) {

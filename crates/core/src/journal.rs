@@ -38,7 +38,7 @@ use crate::experiment::SimLength;
 use crate::flatjson::{self, JsonVal};
 use crate::seallog::{LogError, SealedLog};
 use crate::stats::{LevelStats, RunResult, SimStats};
-use cmpsim_harness::chaos::FaultPlan;
+use cmpsim_harness::knobs;
 use cmpsim_link::LinkBandwidth;
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -258,7 +258,7 @@ impl StructHash {
 ///   that can abort a run but can never alter a *completed* result;
 /// - nothing else: all remaining config fields shape simulated behavior.
 ///
-/// One environment input is **included**: an armed `CMPSIM_CHAOS` plan
+/// One knob is **included**: an armed `CMPSIM_CHAOS` plan
 /// changes simulated results, so its seed and rate are folded in —
 /// results computed under fault injection can never be served to (or
 /// poisoned by) a clean sweep.
@@ -306,7 +306,7 @@ pub fn fingerprint(base: &SystemConfig, len: SimLength) -> u64 {
     h.u64("l2_prefetch_degree", u64::from(base.l2_prefetch_degree));
     h.u64("warmup", len.warmup);
     h.u64("measure", len.measure);
-    if let Some(plan) = FaultPlan::from_env() {
+    if let Some(plan) = knobs().chaos {
         h.u64("chaos.seed", plan.seed());
         h.u64("chaos.rate.bits", plan.rate().to_bits());
     }

@@ -34,15 +34,17 @@
 //! ```
 //!
 //! Runs are supervised: [`System::run`] returns `Err(`[`SimError`]`)` if
-//! the forward-progress watchdog detects a livelock or (with
-//! `CMPSIM_CHECK=1`) a sampled structural invariant fails. The one grid
-//! driver ([`experiment::run_cells_resilient`], or its shorthand
+//! the forward-progress watchdog detects a livelock or (with the
+//! `CMPSIM_CHECK` knob) a sampled structural invariant fails. The one
+//! grid driver ([`experiment::run_cells_resilient`], or its shorthand
 //! [`experiment::run_grid_resilient`]) degrades that, a panic, or a
-//! blown `CMPSIM_CELL_DEADLINE_MS` to a per-cell [`CellError`] while the
-//! rest of the sweep completes; callers that want fail-fast collect the
+//! blown cell deadline to a per-cell [`CellError`] while the rest of the
+//! sweep completes; callers that want fail-fast collect the
 //! cells into a `Result`. Its [`experiment::ResilienceOptions`] choose
 //! the worker count (one worker is the serial sweep), a checkpoint
 //! journal, and a result store.
+//! Every environment setting it honours is a `CMPSIM_*` knob read
+//! through [`cmpsim_harness::knobs()`]; README's "Knobs" table lists them.
 
 mod config;
 mod core_model;

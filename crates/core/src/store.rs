@@ -10,8 +10,8 @@
 //! exist already finishes in the time it takes to read them back, and
 //! two overlapping sweeps share work instead of repeating it.
 //!
-//! On-disk layout (under [`default_store_dir`], overridable via
-//! `CMPSIM_STORE`):
+//! On-disk layout (under [`default_store_dir`], overridable with the
+//! `CMPSIM_STORE` knob):
 //!
 //! ```text
 //! target/store/
@@ -55,6 +55,7 @@ use crate::config::Variant;
 use crate::journal::{self, Decoded};
 use crate::seallog::{LogError, SealedLog};
 use crate::stats::RunResult;
+use cmpsim_harness::knobs;
 use cmpsim_harness::metrics::{self, Counter, Gauge, Histogram};
 use std::collections::HashMap;
 use std::fs;
@@ -194,9 +195,9 @@ struct Inner {
 }
 
 /// Global-registry handles mirroring [`StoreStats`], resolved once per
-/// store handle (`None` when `CMPSIM_METRICS=0`). Every bump is a
-/// relaxed atomic beside the existing `StoreStats` field update —
-/// observe-only, nothing feeds back into what a sweep computes.
+/// store handle. Every bump is a relaxed atomic beside the existing
+/// `StoreStats` field update — observe-only, nothing feeds back into
+/// what a sweep computes.
 #[derive(Debug)]
 struct StoreMetrics {
     hits: Counter,
@@ -211,12 +212,9 @@ struct StoreMetrics {
 }
 
 impl StoreMetrics {
-    fn arm() -> Option<StoreMetrics> {
-        if !metrics::enabled() {
-            return None;
-        }
+    fn register() -> StoreMetrics {
         let r = metrics::global();
-        Some(StoreMetrics {
+        StoreMetrics {
             hits: r.counter("store_hits"),
             misses: r.counter("store_misses"),
             published: r.counter("store_published"),
@@ -226,7 +224,7 @@ impl StoreMetrics {
             evicted_bytes: r.counter("store_evicted_bytes"),
             resident_bytes: r.gauge("store_resident_bytes"),
             lease_wait_nanos: r.histogram("store_lease_wait_nanos"),
-        })
+        }
     }
 }
 
@@ -238,17 +236,18 @@ pub struct ResultStore {
     max_bytes: u64,
     inner: Mutex<Inner>,
     published_cond: Condvar,
-    metrics: Option<StoreMetrics>,
+    metrics: StoreMetrics,
 }
 
-/// Default store directory: `CMPSIM_STORE`, else `store` beside the
-/// journal dir (`CMPSIM_GRID_DIR`, else `grid` under
+/// Default store directory: the `CMPSIM_STORE` knob, else `store`
+/// beside the journal dir (the `CMPSIM_GRID_DIR` knob, else `grid` under
 /// `$CARGO_TARGET_DIR`, the nearest enclosing `target/`, or `./target`).
 pub fn default_store_dir() -> PathBuf {
-    if let Ok(d) = std::env::var("CMPSIM_STORE") {
-        return PathBuf::from(d);
+    let k = knobs();
+    if let Some(d) = &k.store {
+        return d.clone();
     }
-    let grid = metrics::artifact_dir("CMPSIM_GRID_DIR", "grid");
+    let grid = metrics::artifact_dir(k.grid_dir.as_deref(), "grid");
     match grid.parent() {
         Some(p) => p.join("store"),
         None => PathBuf::from("target/store"),
@@ -257,25 +256,14 @@ pub fn default_store_dir() -> PathBuf {
 
 impl ResultStore {
     /// Opens (creating lazily on first publish) a store rooted at `dir`,
-    /// with the size budget from `CMPSIM_STORE_MAX_BYTES` (bytes; default
-    /// [`DEFAULT_MAX_BYTES`]). A malformed or zero budget warns on stderr
-    /// and keeps the default.
+    /// with the size budget from the `CMPSIM_STORE_MAX_BYTES` knob
+    /// (bytes; default [`DEFAULT_MAX_BYTES`]).
     pub fn open(dir: impl Into<PathBuf>) -> Arc<ResultStore> {
-        let max_bytes = match std::env::var("CMPSIM_STORE_MAX_BYTES") {
-            Ok(raw) => parse_max_bytes(&raw).unwrap_or_else(|why| {
-                eprintln!(
-                    "cmpsim: ignoring CMPSIM_STORE_MAX_BYTES={raw:?}: {why}; \
-                     keeping the default {DEFAULT_MAX_BYTES} bytes"
-                );
-                DEFAULT_MAX_BYTES
-            }),
-            Err(_) => DEFAULT_MAX_BYTES,
-        };
-        Self::with_capacity(dir, max_bytes)
+        Self::with_capacity(dir, knobs().store_max_bytes.unwrap_or(DEFAULT_MAX_BYTES))
     }
 
     /// Opens the default store ([`default_store_dir`], i.e. honoring
-    /// `CMPSIM_STORE`).
+    /// the `CMPSIM_STORE` knob).
     pub fn open_default() -> Arc<ResultStore> {
         Self::open(default_store_dir())
     }
@@ -288,7 +276,7 @@ impl ResultStore {
             max_bytes: max_bytes.max(1),
             inner: Mutex::new(Inner::default()),
             published_cond: Condvar::new(),
-            metrics: StoreMetrics::arm(),
+            metrics: StoreMetrics::register(),
         };
         {
             let mut inner = store.lock();
@@ -313,9 +301,7 @@ impl ResultStore {
     /// eviction pass has run yet.
     pub fn resident_bytes(&self) -> u64 {
         let total = self.data_files().iter().map(|&(_, bytes)| bytes).sum();
-        if let Some(m) = &self.metrics {
-            m.resident_bytes.set(total);
-        }
+        self.metrics.resident_bytes.set(total);
         total
     }
 
@@ -327,9 +313,7 @@ impl ResultStore {
         let found = self.lookup(&mut inner, fp, key);
         if found.is_some() {
             inner.stats.hits += 1;
-            if let Some(m) = &self.metrics {
-                m.hits.inc();
-            }
+            self.metrics.hits.inc();
         }
         found
     }
@@ -356,17 +340,11 @@ impl ResultStore {
         loop {
             if let Some(r) = self.lookup(&mut inner, fp, key) {
                 inner.stats.hits += 1;
-                if let Some(m) = &self.metrics {
-                    m.hits.inc();
-                }
-                if wait_start.is_some() {
+                self.metrics.hits.inc();
+                if let Some(t0) = wait_start {
                     inner.stats.shared_waits += 1;
-                    if let Some(m) = &self.metrics {
-                        m.shared_waits.inc();
-                    }
-                }
-                if let (Some(m), Some(t0)) = (&self.metrics, wait_start) {
-                    m.lease_wait_nanos.record_elapsed(t0);
+                    self.metrics.shared_waits.inc();
+                    self.metrics.lease_wait_nanos.record_elapsed(t0);
                 }
                 return Lease::Hit(r);
             }
@@ -380,13 +358,11 @@ impl ResultStore {
             }
             inner.pending.insert((fp, key.clone()), ());
             inner.stats.misses += 1;
-            if let Some(m) = &self.metrics {
-                m.misses.inc();
-                if let Some(t0) = wait_start {
-                    // Waited on a claim that was abandoned; the compute
-                    // handed off to us.
-                    m.lease_wait_nanos.record_elapsed(t0);
-                }
+            self.metrics.misses.inc();
+            if let Some(t0) = wait_start {
+                // Waited on a claim that was abandoned; the compute
+                // handed off to us.
+                self.metrics.lease_wait_nanos.record_elapsed(t0);
             }
             return Lease::Compute(ComputeLease {
                 store: Arc::clone(self),
@@ -462,9 +438,7 @@ impl ResultStore {
 
     fn count_corrupt(&self, inner: &mut Inner, n: u64) {
         inner.stats.corrupt_skipped += n;
-        if let Some(m) = &self.metrics {
-            m.corrupt_skipped.add(n);
-        }
+        self.metrics.corrupt_skipped.add(n);
     }
 
     /// Finds `(fp, key)` in the shard, decoding its record from the data
@@ -565,9 +539,7 @@ impl ResultStore {
         shard.offsets.insert(key.clone(), span);
         shard.decoded.insert(key.clone(), result.clone());
         inner.stats.published += 1;
-        if let Some(m) = &self.metrics {
-            m.published.inc();
-        }
+        self.metrics.published.inc();
         self.touch(inner, fp);
         self.evict_to_budget(inner, fp);
         Ok(())
@@ -611,9 +583,7 @@ impl ResultStore {
         let mut sizes = self.data_files();
         let mut total: u64 = sizes.iter().map(|&(_, bytes)| bytes).sum();
         if total <= self.max_bytes {
-            if let Some(m) = &self.metrics {
-                m.resident_bytes.set(total);
-            }
+            self.metrics.resident_bytes.set(total);
             return;
         }
         // Oldest logical touch first; untouched files (no lru record,
@@ -632,15 +602,11 @@ impl ResultStore {
             inner.touched.remove(&fp);
             inner.stats.evicted_files += 1;
             inner.stats.evicted_bytes += bytes;
-            if let Some(m) = &self.metrics {
-                m.evicted_files.inc();
-                m.evicted_bytes.add(bytes);
-            }
+            self.metrics.evicted_files.inc();
+            self.metrics.evicted_bytes.add(bytes);
             total = total.saturating_sub(bytes);
         }
-        if let Some(m) = &self.metrics {
-            m.resident_bytes.set(total);
-        }
+        self.metrics.resident_bytes.set(total);
         // Compact the LRU file to the surviving fingerprints.
         let mut compact = String::new();
         let mut survivors: Vec<_> = inner.touched.iter().collect();
@@ -649,21 +615,6 @@ impl ResultStore {
             compact.push_str(&format!("{{\"fingerprint\":\"{fp:016x}\",\"touch\":{seq}}}\n"));
         }
         let _ = metrics::write_atomic(&self.lru_path(), &compact);
-    }
-}
-
-/// Validates a `CMPSIM_STORE_MAX_BYTES` value: a byte count, or empty
-/// for the default.
-fn parse_max_bytes(raw: &str) -> Result<u64, String> {
-    match raw.trim() {
-        "" => Ok(DEFAULT_MAX_BYTES),
-        v => match v.parse::<u64>() {
-            Ok(0) => {
-                Err("a zero budget would evict every other fingerprint on each publish".into())
-            }
-            Ok(n) => Ok(n),
-            Err(e) => Err(format!("not a byte count ({e})")),
-        },
     }
 }
 
@@ -862,20 +813,6 @@ mod tests {
             Some(result(0xc))
         );
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    /// `CMPSIM_STORE_MAX_BYTES` used to be parsed with `.parse().ok()`:
-    /// `512MiB` silently meant the default and `0` a 1-byte budget that
-    /// evicted every other fingerprint on each publish.
-    #[test]
-    fn max_bytes_rejects_malformed_and_zero_budgets() {
-        assert_eq!(parse_max_bytes("1048576"), Ok(1 << 20));
-        assert_eq!(parse_max_bytes(" 4096 "), Ok(4096));
-        assert_eq!(parse_max_bytes(""), Ok(DEFAULT_MAX_BYTES), "empty means the default");
-        assert_eq!(parse_max_bytes("  "), Ok(DEFAULT_MAX_BYTES));
-        assert!(parse_max_bytes("512MiB").unwrap_err().contains("not a byte count"));
-        assert!(parse_max_bytes("-1").unwrap_err().contains("not a byte count"));
-        assert!(parse_max_bytes("0").unwrap_err().contains("zero budget"));
     }
 
     #[test]

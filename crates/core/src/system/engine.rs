@@ -22,6 +22,7 @@ use cmpsim_cache::{
 use cmpsim_coherence::{deliver_with_retries, CoreId, DirAction, DirEntry, L1Request, MsiState};
 use cmpsim_harness::chaos::{FaultPlan, FaultSite};
 use cmpsim_harness::fastmap::{AddrMap, MemoCache};
+use cmpsim_harness::knobs;
 use cmpsim_harness::telemetry::{self as harness_telemetry, FlightRecorder, Record};
 use cmpsim_link::{Channel, Message};
 use cmpsim_mem::MemoryController;
@@ -210,8 +211,8 @@ pub struct System {
     /// Whether this run's series artifact has been written.
     telemetry_flushed: bool,
 
-    /// Armed fault-injection plan (`CMPSIM_CHAOS`), or `None` (the
-    /// default). Every injection site is one branch on this option, and
+    /// Armed fault-injection plan (the `CMPSIM_CHAOS` knob), or `None`
+    /// (the default). Every injection site is one branch on this option, and
     /// every decision is a pure function of `(seed, site, cycle, addr)`,
     /// so disarmed runs are bit-identical to builds without chaos and
     /// armed runs replay bit-identically from the seed.
@@ -233,7 +234,7 @@ impl System {
         cfg.validate();
         spec.validate();
         let n = usize::from(cfg.cores);
-        let trace = TraceOptions::from_env().map(|o| Box::new(EngineTrace::new(&o)));
+        let trace = knobs().trace.then(|| Box::new(EngineTrace::new(&TraceOptions::default())));
         let next_sample = trace.as_ref().map_or(u64::MAX, |t| t.next_sample);
         let l1_cfg = SetAssocConfig::with_capacity(cfg.l1_bytes, cfg.l1_ways);
         let values = spec.value_profile(cfg.seed);
@@ -309,7 +310,7 @@ impl System {
             pending_fault_error: None,
             cfg,
         };
-        sys.set_chaos(FaultPlan::from_env());
+        sys.set_chaos(knobs().chaos);
         sys
     }
 
@@ -320,7 +321,7 @@ impl System {
 
     // ------------------------------------------------------------ tracing
 
-    /// Overrides the `CMPSIM_TRACE` environment decision for this system:
+    /// Overrides the `CMPSIM_TRACE` knob for this system:
     /// `Some(opts)` arms the flight recorder and sampler, `None` disarms
     /// them. Tests use this instead of mutating the (process-global,
     /// cached) environment, which would race with parallel tests.
@@ -330,7 +331,7 @@ impl System {
         self.emergency_armed = false;
     }
 
-    /// Overrides the `CMPSIM_CHAOS` environment decision for this system:
+    /// Overrides the `CMPSIM_CHAOS` knob for this system:
     /// `Some(plan)` arms seeded fault injection, `None` disarms it. Tests
     /// use this instead of mutating the process-global environment. Arming
     /// chaos with no trace configured also arms a recorder-only emergency

@@ -12,14 +12,13 @@
 //! them back, so a traced run and an untraced run compute bit-identical
 //! [`crate::RunResult`]s (asserted by `tests/telemetry.rs`).
 
-use cmpsim_harness::{env_u64, metrics};
-use cmpsim_harness::telemetry::{self, FlightRecorder, Record, SeriesBuffer};
+use cmpsim_harness::telemetry::{FlightRecorder, Record, SeriesBuffer};
+use cmpsim_harness::{knobs, metrics};
 use std::path::PathBuf;
 
-/// Default flight-recorder capacity (`CMPSIM_TRACE_RING` overrides).
+/// Flight-recorder capacity of a `CMPSIM_TRACE` run.
 pub const DEFAULT_RING_CAPACITY: usize = 65_536;
-/// Default cycles between series samples (`CMPSIM_TRACE_SAMPLE`
-/// overrides).
+/// Cycles between series samples of a `CMPSIM_TRACE` run.
 pub const DEFAULT_SAMPLE_PERIOD: u64 = 50_000;
 /// Events a [`crate::SimError::Livelock`] carries from the recorder.
 pub const LIVELOCK_EVENT_WINDOW: usize = 32;
@@ -208,31 +207,12 @@ impl Default for TraceOptions {
         TraceOptions {
             ring_capacity: DEFAULT_RING_CAPACITY,
             sample_period: DEFAULT_SAMPLE_PERIOD,
-            out_dir: Some(metrics::artifact_dir("CMPSIM_TELEMETRY_DIR", "telemetry")),
+            out_dir: Some(metrics::artifact_dir(knobs().telemetry_dir.as_deref(), "telemetry")),
         }
     }
 }
 
 impl TraceOptions {
-    /// `Some(options)` when `CMPSIM_TRACE` enables tracing, applying the
-    /// `CMPSIM_TRACE_RING` / `CMPSIM_TRACE_SAMPLE` overrides; `None`
-    /// otherwise. The enable bit is cached process-wide
-    /// ([`telemetry::trace_enabled`]), so the per-run cost of the
-    /// disabled path is this one `None`.
-    pub fn from_env() -> Option<TraceOptions> {
-        if !telemetry::trace_enabled() {
-            return None;
-        }
-        let mut o = TraceOptions::default();
-        if let Some(cap) = env_u64("CMPSIM_TRACE_RING") {
-            o.ring_capacity = cap.clamp(16, 1 << 24) as usize;
-        }
-        if let Some(p) = env_u64("CMPSIM_TRACE_SAMPLE") {
-            o.sample_period = p.max(1);
-        }
-        Some(o)
-    }
-
     /// Returns a copy that keeps artifacts in memory only.
     pub fn in_memory(mut self) -> Self {
         self.out_dir = None;

@@ -5,10 +5,8 @@
 //! printed as a one-line report, and written as a JSON artifact to
 //! `target/bench/<file>.json` so sweeps and CI can diff runs.
 //!
-//! Environment overrides:
-//!
-//! - `CMPSIM_BENCH_ITERS` — measured iterations per benchmark.
-//! - `CMPSIM_BENCH_WARMUP` — warmup iterations per benchmark.
+//! The `CMPSIM_BENCH_ITERS` and `CMPSIM_BENCH_WARMUP` knobs override
+//! the measured and warmup iterations of every benchmark.
 //!
 //! The JSON format is deliberately flat (no serde in the workspace):
 //!
@@ -23,7 +21,7 @@
 //! }
 //! ```
 
-use crate::env::env_u64;
+use crate::knobs::knobs;
 use crate::metrics;
 use std::hint::black_box;
 use std::io;
@@ -74,13 +72,13 @@ pub struct Runner {
 }
 
 impl Runner {
-    /// New runner with the given defaults, overridable via
-    /// `CMPSIM_BENCH_ITERS` / `CMPSIM_BENCH_WARMUP`.
+    /// New runner with the given defaults, overridable via the
+    /// `CMPSIM_BENCH_ITERS` / `CMPSIM_BENCH_WARMUP` knobs.
     pub fn new(suite: &str, warmup: u32, iters: u32) -> Self {
         Runner {
             suite: suite.to_string(),
-            warmup: env_u32("CMPSIM_BENCH_WARMUP").unwrap_or(warmup),
-            iters: env_u32("CMPSIM_BENCH_ITERS").unwrap_or(iters).max(1),
+            warmup,
+            iters,
             results: Vec::new(),
             metrics: Vec::new(),
         }
@@ -95,7 +93,7 @@ impl Runner {
 
     /// [`Runner::bench`] with explicit warmup/iteration counts, for
     /// expensive benchmarks that need fewer samples than the suite
-    /// default. The env overrides still win.
+    /// default. The knobs still win.
     pub fn bench_with<R>(
         &mut self,
         name: &str,
@@ -103,8 +101,8 @@ impl Runner {
         iters: u32,
         mut f: impl FnMut() -> R,
     ) -> &BenchResult {
-        let warmup = env_u32("CMPSIM_BENCH_WARMUP").unwrap_or(warmup);
-        let iters = env_u32("CMPSIM_BENCH_ITERS").unwrap_or(iters).max(1);
+        let warmup = knobs().bench_warmup.unwrap_or(warmup);
+        let iters = knobs().bench_iters.unwrap_or(iters).max(1);
         for _ in 0..warmup {
             black_box(f());
         }
@@ -164,7 +162,7 @@ impl Runner {
     }
 
     /// Writes the JSON artifact to `<suite>.json` under the bench
-    /// artifact dir (`CMPSIM_BENCH_DIR`, else `target/bench/`; see
+    /// artifact dir (the `CMPSIM_BENCH_DIR` knob, else `target/bench/`; see
     /// [`metrics::artifact_dir`]) through [`metrics::write_atomic`], so a
     /// killed run never leaves a torn artifact. Returns its path.
     ///
@@ -172,17 +170,12 @@ impl Runner {
     ///
     /// Propagates filesystem errors from creating the directory or file.
     pub fn write_json(&self) -> io::Result<PathBuf> {
-        let path =
-            metrics::artifact_dir("CMPSIM_BENCH_DIR", "bench").join(format!("{}.json", self.suite));
+        let path = metrics::artifact_dir(knobs().bench_dir.as_deref(), "bench")
+            .join(format!("{}.json", self.suite));
         metrics::write_atomic(&path, &self.to_json())?;
         println!("bench artifact: {}", path.display());
         Ok(path)
     }
-}
-
-/// An iteration-count knob, saturating at `u32::MAX`.
-fn env_u32(key: &str) -> Option<u32> {
-    env_u64(key).map(|v| u32::try_from(v).unwrap_or(u32::MAX))
 }
 
 fn json_str(s: &str) -> String {

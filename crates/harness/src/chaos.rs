@@ -8,15 +8,12 @@
 //! sites consulted the plan in between. That property is what lets an
 //! armed chaos run stay bit-reproducible across 1/2/8-thread grids.
 //!
-//! Arming mirrors the `CMPSIM_TRACE` convention: `CMPSIM_CHAOS=<seed>:<rate>`
-//! (e.g. `CMPSIM_CHAOS=7:0.002`) arms the plan process-wide via
-//! [`FaultPlan::from_env`]; unset or empty leaves chaos disarmed. A
-//! malformed value warns once on stderr and disarms rather than silently
-//! misparsing. Tests bypass the environment entirely and hand a plan to
-//! the consumer directly (the simulator exposes `System::set_chaos` for
-//! exactly this, mirroring `set_tracing`).
-
-use std::sync::Once;
+//! `CMPSIM_CHAOS=<seed>:<rate>` (e.g. `CMPSIM_CHAOS=7:0.002`) arms a
+//! plan process-wide through [`crate::knobs()`], which parses it with
+//! [`FaultPlan::parse`]; unset or empty leaves chaos disarmed. Tests
+//! bypass the environment entirely and hand a plan to the consumer
+//! directly (the simulator exposes `System::set_chaos` for exactly
+//! this, mirroring `set_tracing`).
 
 /// Where in the modeled hierarchy a fault is injected. The discriminant
 /// feeds the decision hash, so each site draws an independent fault
@@ -112,26 +109,6 @@ impl FaultPlan {
             return Err(format!("rate {rate} outside [0, 1]"));
         }
         Ok(FaultPlan::new(seed, rate))
-    }
-
-    /// Reads `CMPSIM_CHAOS=<seed>:<rate>` from the environment. Unset or
-    /// empty means disarmed; a malformed value warns (once per process)
-    /// and disarms instead of guessing.
-    pub fn from_env() -> Option<FaultPlan> {
-        static WARNED: Once = Once::new();
-        let v = std::env::var("CMPSIM_CHAOS").ok()?;
-        if v.is_empty() {
-            return None;
-        }
-        match FaultPlan::parse(&v) {
-            Ok(plan) => Some(plan),
-            Err(e) => {
-                WARNED.call_once(|| {
-                    eprintln!("cmpsim: ignoring malformed CMPSIM_CHAOS ({e}); chaos disarmed");
-                });
-                None
-            }
-        }
     }
 
     /// The decision hash: a SplitMix64-style finalizer over

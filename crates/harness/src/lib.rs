@@ -7,8 +7,8 @@
 //!
 //! - [`prop`] + [`gen`] — a deterministic property-testing mini-framework:
 //!   seeded generators built on the same xorshift64* pattern as
-//!   `cmpsim_trace::Rng`, greedy shrinking on failure, and
-//!   `CMPSIM_PT_CASES` / `CMPSIM_PT_SEED` environment overrides.
+//!   `cmpsim_trace::Rng`, greedy shrinking on failure, and replayable
+//!   case counts and seeds.
 //! - [`codec_conformance`] — the cross-codec law kit built on [`prop`]:
 //!   round-trip exactness, fast/full sizing agreement, zero-fill
 //!   monotonicity and never-expands, checked against any codec described
@@ -18,29 +18,30 @@
 //!   `target/bench/*.json`.
 //! - [`supervise`] — the one job executor: idle workers claim the next
 //!   unstarted job, so a vector of independent closures spreads across
-//!   cores (`CMPSIM_THREADS`) with outcomes returned in submission
-//!   order. Each job's panics are captured and retried with backoff,
-//!   and an optional watchdog deadline (`CMPSIM_CELL_DEADLINE_MS`)
-//!   abandons a hung job, so one bad job in a long sweep degrades one
-//!   result instead of the run.
-//! - [`env_u64`] — the one reader of integer `CMPSIM_*` knobs: a value
-//!   that is set but is not a count warns on stderr instead of silently
-//!   falling back to the default.
+//!   cores with outcomes returned in submission order. Each job's
+//!   panics are captured and retried with backoff, and an optional
+//!   watchdog deadline abandons a hung job, so one bad job in a long
+//!   sweep degrades one result instead of the run.
+//! - [`knobs`](mod@knobs) — the one knob surface: every `CMPSIM_*`
+//!   environment variable, declared once, parsed once into a typed
+//!   [`Knobs`], with a malformed value rejected by name (exit status 2)
+//!   instead of falling back to a default. README's knob table and
+//!   `serve --help` list them all.
 //! - [`fastmap`] — deterministic, SipHash-free hash containers for the
 //!   engine's hot paths: an open-addressing [`fastmap::AddrMap`] for
 //!   MSHR-style exact maps and a bounded [`fastmap::MemoCache`] for
 //!   memoizing pure functions of block addresses.
 //! - [`telemetry`] — observability plumbing: a fixed-capacity flight
-//!   recorder of packed sim events (`CMPSIM_TRACE`), buffered JSONL
-//!   series artifacts under `target/telemetry/`, and a stderr heartbeat
-//!   for live grid progress (`CMPSIM_PROGRESS`). Pure measurement: none
-//!   of it feeds back into simulation results.
+//!   recorder of packed sim events, buffered JSONL series artifacts
+//!   under `target/telemetry/`, and a stderr heartbeat for live grid
+//!   progress. Pure measurement: none of it feeds back into simulation
+//!   results.
 //! - [`metrics`] — service-layer metrics: atomic counters/gauges,
 //!   log-bucketed latency histograms with mergeable snapshots and
 //!   deterministic quantiles, a named registry, and flat-JSON /
-//!   Prometheus export (`CMPSIM_METRICS=0` disarms the recording
-//!   sites). Observe-only, like [`telemetry`].
-//! - [`chaos`] — deterministic fault-injection planning (`CMPSIM_CHAOS`):
+//!   Prometheus export. Always armed and observe-only, like
+//!   [`telemetry`].
+//! - [`chaos`] — deterministic fault-injection planning:
 //!   a seeded [`chaos::FaultPlan`] whose per-site decisions are stateless
 //!   hashes of `(seed, site, cycle, key)`, so armed runs stay
 //!   bit-reproducible across thread counts.
@@ -54,9 +55,9 @@
 pub mod bench;
 pub mod chaos;
 pub mod codec_conformance;
-mod env;
 pub mod fastmap;
 pub mod gen;
+pub mod knobs;
 pub mod metrics;
 pub mod prop;
 mod rng;
@@ -64,7 +65,7 @@ pub mod supervise;
 pub mod telemetry;
 
 pub use chaos::{FaultPlan, FaultSite};
-pub use env::env_u64;
 pub use gen::Gen;
+pub use knobs::{knobs, Knobs};
 pub use rng::Rng;
 pub use supervise::{run_supervised, JobOutcome, Supervisor};

@@ -31,24 +31,14 @@
 //!   addition; merging per-worker or per-process snapshots equals one
 //!   histogram that saw every value.
 //!
-//! `CMPSIM_METRICS=0` disarms recording at the instrumentation sites
-//! (they check [`enabled`] once and skip the atomics); the default is
-//! armed, because recording is inert and the serve daemon depends on it.
+//! Recording is always armed: it is inert, and the serve daemon depends
+//! on it.
 
 use std::collections::BTreeMap;
 use std::io;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-
-// ---------------------------------------------------------------- gating
-
-/// Whether metrics recording is armed: `CMPSIM_METRICS=0` disarms it,
-/// anything else (including unset) leaves it on. Read once per process.
-pub fn enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| std::env::var("CMPSIM_METRICS").map(|v| v != "0").unwrap_or(true))
-}
 
 // -------------------------------------------------------------- counters
 
@@ -480,13 +470,13 @@ impl MetricsSnapshot {
 
 // -------------------------------------------------------- artifact files
 
-/// Resolves an artifact directory: the `env_var` override, else
+/// Resolves an artifact directory: the knob's `dir` when set, else
 /// `$CARGO_TARGET_DIR/<leaf>`, else `<leaf>` under the nearest enclosing
 /// `target/` directory (benches run with their crate, not the
 /// workspace, as cwd), else `./target/<leaf>`.
-pub fn artifact_dir(env_var: &str, leaf: &str) -> PathBuf {
-    if let Ok(d) = std::env::var(env_var) {
-        return PathBuf::from(d);
+pub fn artifact_dir(dir: Option<&Path>, leaf: &str) -> PathBuf {
+    if let Some(d) = dir {
+        return d.to_path_buf();
     }
     if let Ok(d) = std::env::var("CARGO_TARGET_DIR") {
         return PathBuf::from(d).join(leaf);

@@ -6,18 +6,17 @@
 //! derived from the property name, so adding cases to one test never
 //! perturbs another.
 //!
-//! Environment overrides:
-//!
-//! - `CMPSIM_PT_CASES` — number of cases per property (default 128).
-//! - `CMPSIM_PT_SEED` — base seed mixed into every property's stream; use
-//!   the value printed by a failure report to replay it exactly.
+//! The `CMPSIM_PT_CASES` and `CMPSIM_PT_SEED` knobs set the number of
+//! cases per property (default 128) and the base seed mixed into every
+//! property's stream; a failure report prints both, so it replays
+//! exactly.
 //!
 //! Properties report failure either by returning `Err(String)` (the
 //! [`prop_assert!`](crate::prop_assert) family) or by panicking
 //! (`assert!`, index out of bounds, ...); both shrink identically.
 
-use crate::env::env_u64;
 use crate::gen::Gen;
+use crate::knobs::knobs;
 use crate::rng::{hash_str, Rng};
 use std::fmt::Debug;
 use std::panic::{self, AssertUnwindSafe};
@@ -40,16 +39,12 @@ impl Default for Config {
 }
 
 impl Config {
-    /// Default config with `CMPSIM_PT_CASES` / `CMPSIM_PT_SEED` applied.
+    /// Default config with the `CMPSIM_PT_CASES` / `CMPSIM_PT_SEED`
+    /// knobs applied.
     pub fn from_env() -> Self {
-        let mut cfg = Config::default();
-        if let Some(cases) = env_u64("CMPSIM_PT_CASES") {
-            cfg.cases = cases.clamp(1, 1_000_000) as u32;
-        }
-        if let Some(seed) = env_u64("CMPSIM_PT_SEED") {
-            cfg.seed = seed;
-        }
-        cfg
+        let d = Config::default();
+        let k = knobs();
+        Config { cases: k.pt_cases.unwrap_or(d.cases), seed: k.pt_seed.unwrap_or(d.seed), ..d }
     }
 }
 

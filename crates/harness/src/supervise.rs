@@ -14,8 +14,8 @@
 //!   are scoped threads, joined before [`run_supervised`] returns; at
 //!   `threads <= 1` every job runs inline on the caller and no thread is
 //!   spawned (DESIGN.md §7.3 gives the memory measurements behind this).
-//! - **Deadline armed** ([`Supervisor::deadline`], by default
-//!   `CMPSIM_CELL_DEADLINE_MS`): each job gets its own detached thread,
+//! - **Deadline armed** ([`Supervisor::deadline`], by default the
+//!   `CMPSIM_CELL_DEADLINE_MS` knob): each job gets its own detached thread,
 //!   because a hung job cannot be killed from safe Rust. A job whose
 //!   current attempt outlives the deadline is **abandoned**: its thread
 //!   keeps running (and is leaked) while the supervisor records
@@ -28,6 +28,7 @@
 //! it computes, so for pure jobs the `Ok` results are bit-identical at
 //! any `threads` count, with or without a deadline.
 
+use crate::knobs::knobs;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{mpsc, Mutex, PoisonError};
@@ -77,8 +78,8 @@ pub struct Supervisor {
     /// Maximum concurrently running jobs (min 1).
     pub threads: usize,
     /// Per-attempt soft deadline; `None` disables the watchdog and runs
-    /// jobs on scoped workers. Defaults to `CMPSIM_CELL_DEADLINE_MS`
-    /// when set in the environment.
+    /// jobs on scoped workers. Defaults to the `CMPSIM_CELL_DEADLINE_MS`
+    /// knob.
     pub deadline: Option<Duration>,
     /// Retries after a panicked first attempt (0 = fail fast).
     pub retries: u32,
@@ -97,7 +98,7 @@ impl Supervisor {
     pub fn with_threads(threads: usize) -> Self {
         Supervisor {
             threads,
-            deadline: deadline_from_env(),
+            deadline: knobs().cell_deadline,
             retries: 0,
             backoff: Duration::from_millis(20),
         }
@@ -124,52 +125,12 @@ impl Supervisor {
     }
 }
 
-/// Number of workers to use by default: `CMPSIM_THREADS` when it is a
-/// positive count (any other value warns and is ignored), else the
-/// machine's available parallelism.
+/// Number of workers to use by default: the `CMPSIM_THREADS` knob,
+/// else the machine's available parallelism.
 pub fn default_threads() -> usize {
-    crate::env::env_at_least("CMPSIM_THREADS", 1)
-        .map(|n| usize::try_from(n).unwrap_or(usize::MAX))
+    knobs()
+        .threads
         .unwrap_or_else(|| thread::available_parallelism().map_or(1, |n| n.get()))
-}
-
-/// Upper bound on a sane cell deadline: 24 hours. Anything larger is
-/// almost certainly a unit mistake (seconds or nanoseconds pasted into a
-/// milliseconds knob), so it is rejected rather than silently armed.
-const MAX_DEADLINE_MS: u64 = 24 * 60 * 60 * 1000;
-
-/// The per-job watchdog deadline configured in the environment
-/// (`CMPSIM_CELL_DEADLINE_MS`, milliseconds), if any.
-///
-/// Malformed, zero, or implausibly huge values warn on stderr and
-/// disable the deadline instead of silently misparsing.
-pub fn deadline_from_env() -> Option<Duration> {
-    let raw = std::env::var("CMPSIM_CELL_DEADLINE_MS").ok()?;
-    match parse_deadline_ms(&raw) {
-        Ok(d) => d,
-        Err(why) => {
-            eprintln!("cmpsim: ignoring CMPSIM_CELL_DEADLINE_MS={raw:?}: {why}; deadline disabled");
-            None
-        }
-    }
-}
-
-/// Validates a `CMPSIM_CELL_DEADLINE_MS` value. `Ok(Some(_))` is an
-/// armed deadline; `Ok(None)` means an intentionally empty value
-/// (deadline off); `Err` describes why the value was rejected.
-fn parse_deadline_ms(raw: &str) -> Result<Option<Duration>, String> {
-    let raw = raw.trim();
-    if raw.is_empty() {
-        return Ok(None);
-    }
-    let ms: u64 = raw.parse().map_err(|e| format!("not a millisecond count ({e})"))?;
-    if ms == 0 {
-        return Err("a zero deadline would kill every cell immediately".to_string());
-    }
-    if ms > MAX_DEADLINE_MS {
-        return Err(format!("{ms} ms exceeds the {MAX_DEADLINE_MS} ms (24 h) sanity bound"));
-    }
-    Ok(Some(Duration::from_millis(ms)))
 }
 
 /// Renders a panic payload for reporting.
@@ -337,32 +298,6 @@ mod tests {
         out.into_iter()
             .map(|o| o.ok().expect("every job should have succeeded"))
             .collect()
-    }
-
-    #[test]
-    fn deadline_parsing_accepts_sane_values() {
-        assert_eq!(parse_deadline_ms("250"), Ok(Some(Duration::from_millis(250))));
-        assert_eq!(parse_deadline_ms(" 1000 "), Ok(Some(Duration::from_millis(1000))));
-        assert_eq!(
-            parse_deadline_ms(&MAX_DEADLINE_MS.to_string()),
-            Ok(Some(Duration::from_millis(MAX_DEADLINE_MS)))
-        );
-        assert_eq!(parse_deadline_ms(""), Ok(None), "empty means deadline off");
-    }
-
-    #[test]
-    fn deadline_parsing_rejects_garbage_zero_and_huge() {
-        for garbage in ["abc", "12x", "-5", "1.5", "0x10", "1 000"] {
-            assert!(parse_deadline_ms(garbage).is_err(), "{garbage:?} should be rejected");
-        }
-        assert!(parse_deadline_ms("0").is_err(), "zero would kill every cell");
-        assert!(
-            parse_deadline_ms(&(MAX_DEADLINE_MS + 1).to_string()).is_err(),
-            "values past the 24 h sanity bound are a unit mistake"
-        );
-        assert!(parse_deadline_ms(&u64::MAX.to_string()).is_err());
-        // Overflow past u64 is garbage, not a huge deadline.
-        assert!(parse_deadline_ms("99999999999999999999999999").is_err());
     }
 
     #[test]

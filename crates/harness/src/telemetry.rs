@@ -7,36 +7,13 @@
 //! entries overwritten, with an overflow-drop counter), the
 //! [`SeriesBuffer`] accumulates JSONL rows in memory so sampling never
 //! does hot-path I/O, and [`GridProgress`] + [`Heartbeat`] render a
-//! stderr status line for long grid sweeps.
-//!
-//! Environment knobs:
-//!
-//! - `CMPSIM_TRACE` — `1` (or any value other than `0`/empty) enables
-//!   tracing; [`trace_enabled`] caches the answer so the disabled path in
-//!   the engine is a branch on a cached bool.
-//! - `CMPSIM_TELEMETRY_DIR` — where JSONL artifacts land (default
-//!   `target/telemetry/`, resolved by [`crate::metrics::artifact_dir`]).
-//! - `CMPSIM_PROGRESS` — `1` forces the grid heartbeat on, `0` forces it
-//!   off; unset, it turns on only when stderr is a terminal.
+//! stderr status line for long grid sweeps. Tracing, the artifact
+//! directory and the heartbeat are switched by knobs (see
+//! [`crate::knobs()`]).
 
-use std::io::IsTerminal;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
-
-// ------------------------------------------------------------------ gating
-
-/// Whether `CMPSIM_TRACE` enables tracing, read once per process.
-///
-/// The engine consults this at construction time only; per-event gating
-/// is a branch on the cached result, so a run with tracing disabled pays
-/// one predictable branch per instrumentation site.
-pub fn trace_enabled() -> bool {
-    static ON: OnceLock<bool> = OnceLock::new();
-    *ON.get_or_init(|| {
-        std::env::var("CMPSIM_TRACE").map(|v| !v.is_empty() && v != "0").unwrap_or(false)
-    })
-}
 
 /// Monotonic sequence for artifact file names, so concurrent grid cells
 /// writing to the same directory never collide.
@@ -236,17 +213,6 @@ impl CellState {
             5 => CellState::Cached,
             _ => CellState::Queued,
         }
-    }
-}
-
-/// Whether the grid heartbeat should render: `CMPSIM_PROGRESS=1` forces
-/// it on, `CMPSIM_PROGRESS=0` (or any other value) forces it off, and
-/// unset it follows whether stderr is a terminal — so tests and CI logs
-/// stay clean by default.
-pub fn progress_enabled() -> bool {
-    match std::env::var("CMPSIM_PROGRESS") {
-        Ok(v) => v == "1",
-        Err(_) => std::io::stderr().is_terminal(),
     }
 }
 

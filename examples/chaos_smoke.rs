@@ -1,27 +1,18 @@
 //! One grid cell under an armed chaos plan, with the per-site fault
 //! table — the CI smoke run for the chaos engine (`scripts/ci.sh`).
 //!
-//! Arms `CMPSIM_CHAOS` (defaulting to `7:0.02` when unset), runs one
-//! compression + prefetching cell, asserts the run is bit-reproducible
-//! at 1, 2 and 8 worker threads, and prints what was injected and how
-//! the system degraded. Output is fully deterministic for a given plan,
-//! so CI diffs two invocations byte-for-byte.
+//! Arms the `CMPSIM_CHAOS` plan (defaulting to `7:0.02` when unset) on
+//! one compression + prefetching cell, asserts the run is
+//! bit-reproducible at 1, 2 and 8 worker threads, and prints what was
+//! injected and how the system degraded. Output is fully deterministic
+//! for a given plan, so CI diffs two invocations byte-for-byte.
 
-use cmpsim::{run_grid_resilient, workload, FaultPlan, ResilienceOptions, SimLength,
-    SystemConfig, Variant};
-use cmpsim_harness::Supervisor;
+use cmpsim::core::experiment::run_cells_resilient;
+use cmpsim::{workload, FaultPlan, ResilienceOptions, SimLength, System, SystemConfig, Variant};
+use cmpsim_harness::{knobs, Supervisor};
 
 fn main() {
-    let raw = std::env::var("CMPSIM_CHAOS").unwrap_or_else(|_| "7:0.02".to_string());
-    let plan = match FaultPlan::parse(&raw) {
-        Ok(p) => p,
-        Err(e) => {
-            eprintln!("chaos smoke FAILED: bad CMPSIM_CHAOS {raw:?}: {e}");
-            std::process::exit(1);
-        }
-    };
-    std::env::set_var("CMPSIM_CHAOS", &raw);
-
+    let plan = knobs().chaos.unwrap_or(FaultPlan::new(7, 0.02));
     let specs = vec![workload("zeus").expect("known workload")];
     let variants = [Variant::PrefetchCompression];
     let base = SystemConfig::paper_default(2).with_seed(11);
@@ -31,9 +22,14 @@ fn main() {
             supervisor: Supervisor::with_threads(threads),
             ..ResilienceOptions::default()
         };
-        run_grid_resilient(&specs, &base, &variants, len, &opts)
-            .into_iter()
-            .collect::<Result<Vec<_>, _>>()
+        // No journal or store, so the sweep needs no fingerprint.
+        run_cells_resilient(&specs, &base, &variants, 0, &opts, move |spec, base, variant| {
+            let mut sys = System::new(variant.apply(base.clone()), spec);
+            sys.set_chaos(Some(plan));
+            sys.run(len.warmup, len.measure)
+        })
+        .into_iter()
+        .collect::<Result<Vec<_>, _>>()
     };
 
     let serial = match grid(1) {

@@ -29,7 +29,7 @@ use cmpsim::{
     all_workloads, report, run_grid_resilient, CodecKind, ResilienceOptions, SimLength,
     SystemConfig, Variant,
 };
-use cmpsim_harness::Supervisor;
+use cmpsim_harness::{knobs, Supervisor};
 use std::time::Instant;
 
 const VARIANTS: [Variant; 4] = [
@@ -85,7 +85,7 @@ fn gate(label: &str, digest: &str, path: &str, record: bool) -> bool {
 fn main() {
     let base = SystemConfig::paper_default(4).with_seed(11);
     let len = SimLength { warmup: 5_000, measure: 20_000 };
-    let record = std::env::var("CMPSIM_WRITE_GOLDEN").is_ok();
+    let record = knobs().write_golden;
     if record {
         std::fs::create_dir_all("tests/golden").expect("create tests/golden");
     }

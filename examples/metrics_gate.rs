@@ -21,8 +21,11 @@
 //! plus headline service numbers) for CI to track as
 //! `BENCH_service_metrics.json`.
 //!
+//! The store lives in a scratch directory, created empty and removed
+//! at exit.
+//!
 //! Usage:
-//!   CMPSIM_STORE=$(mktemp -d) cargo run --release --example metrics_gate
+//!   cargo run --release --example metrics_gate
 
 use cmpsim::core::flatjson::parse_flat;
 use cmpsim::core::store::ResultStore;
@@ -62,10 +65,6 @@ const REQUIRED_KEYS: [&str; 12] = [
 ];
 
 fn main() {
-    if !metrics::enabled() {
-        eprintln!("metrics gate: CMPSIM_METRICS=0 — this gate needs armed metrics");
-        std::process::exit(1);
-    }
     let base = SystemConfig::paper_default(4).with_seed(11);
     let len = SimLength { warmup: 5_000, measure: 20_000 };
     let specs = all_workloads();
@@ -73,8 +72,7 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot read {GOLDEN_PATH}: {e}"));
     let golden = golden.trim();
 
-    let dir = std::env::var("CMPSIM_STORE")
-        .unwrap_or_else(|_| "target/metrics-gate-store".to_string());
+    let dir = std::env::temp_dir().join(format!("cmpsim-metrics-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let sweep = |store: &Arc<ResultStore>| -> Vec<GridCell> {
         let opts = ResilienceOptions {
@@ -202,10 +200,11 @@ fn main() {
     );
     runner.write_json().expect("write service_metrics.json");
 
+    let _ = std::fs::remove_dir_all(&dir);
     if !ok {
         eprintln!(
-            "cold digest {cold_digest}, warm digest {warm_digest}, golden {golden} \
-             (store dir: {dir})\nsnapshot: {flat}"
+            "cold digest {cold_digest}, warm digest {warm_digest}, golden {golden}\n\
+             snapshot: {flat}"
         );
         std::process::exit(1);
     }

@@ -7,7 +7,8 @@
 //! (ops/s), hit ratio, cell compute latency p50/p95/p99, queue depth
 //! and on-disk store occupancy. Everything shown is read from the same
 //! `cmpsim_harness::metrics` registry the serve daemon exports, so the
-//! dashboard doubles as a visual check of the whole pipeline.
+//! dashboard doubles as a visual check of the whole pipeline. The store
+//! lives in a scratch directory, created empty and removed at exit.
 //!
 //! Usage:
 //!   cargo run --release --example ops_dashboard            # live view
@@ -114,17 +115,12 @@ fn main() {
             }
         }
     }
-    if !metrics::enabled() {
-        eprintln!("ops dashboard: CMPSIM_METRICS=0 — nothing to display");
-        std::process::exit(1);
-    }
     if check {
         rounds = 2;
         refresh_ms = refresh_ms.min(100);
     }
 
-    let dir = std::env::var("CMPSIM_STORE")
-        .unwrap_or_else(|_| "target/ops-dashboard-store".to_string());
+    let dir = std::env::temp_dir().join(format!("cmpsim-ops-dashboard-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = ResultStore::open(&dir);
     let done = Arc::new(AtomicBool::new(false));
@@ -190,6 +186,7 @@ fn main() {
     let last = metrics::global().snapshot();
     let frame = render(&prev, &last, prev_t.elapsed().as_secs_f64(), t0.elapsed().as_secs_f64());
     println!("{frame}");
+    let _ = std::fs::remove_dir_all(&dir);
 
     if check {
         let total = rounds as u64 * 32; // 8 workloads x 4 variants per round

@@ -13,8 +13,11 @@
 //!   seed engine (`tests/golden/grid_digest.txt`) — the store changed
 //!   *when* results were computed, never *what* they are.
 //!
+//! The store lives in a scratch directory, created empty and removed
+//! at exit, so "cold" means cold and a user's store is never touched.
+//!
 //! Usage:
-//!   CMPSIM_STORE=$(mktemp -d) cargo run --release --example store_gate
+//!   cargo run --release --example store_gate
 
 use cmpsim::core::store::ResultStore;
 use cmpsim::{
@@ -42,11 +45,7 @@ fn main() {
         .unwrap_or_else(|e| panic!("cannot read {GOLDEN_PATH}: {e}"));
     let golden = golden.trim();
 
-    // The gate owns its store directory: CMPSIM_STORE if the caller set
-    // one (ci.sh passes a mktemp dir), else a scratch path under target/.
-    // Either way it starts empty so "cold" means cold.
-    let dir = std::env::var("CMPSIM_STORE")
-        .unwrap_or_else(|_| "target/store-gate".to_string());
+    let dir = std::env::temp_dir().join(format!("cmpsim-store-gate-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let sweep = |store: &Arc<ResultStore>| -> Vec<GridCell> {
         let opts = ResilienceOptions {
@@ -115,11 +114,9 @@ fn main() {
     );
     gate("cold digest matches golden", cold_digest == golden);
     gate("warm digest bit-identical to golden", warm_digest == golden);
+    let _ = std::fs::remove_dir_all(&dir);
     if !ok {
-        eprintln!(
-            "cold digest {cold_digest}, warm digest {warm_digest}, golden {golden} \
-             (store dir: {dir})"
-        );
+        eprintln!("cold digest {cold_digest}, warm digest {warm_digest}, golden {golden}");
         std::process::exit(1);
     }
 }

@@ -15,6 +15,7 @@
 //! times) and exits nonzero on any violation, printing nothing but the
 //! verdict — the CI hook for telemetry artifacts.
 
+use cmpsim_harness::{knobs, metrics};
 use std::path::{Path, PathBuf};
 
 /// Extracts the raw text of `"key":<value>` from a flat JSON line
@@ -217,7 +218,7 @@ fn main() {
     let path = match explicit {
         Some(p) => PathBuf::from(p),
         None => {
-            let dir = cmpsim_harness::metrics::artifact_dir("CMPSIM_TELEMETRY_DIR", "telemetry");
+            let dir = metrics::artifact_dir(knobs().telemetry_dir.as_deref(), "telemetry");
             newest_artifact(&dir).unwrap_or_else(|| {
                 fail(&format!(
                     "no .jsonl artifacts under {} — run a simulation with CMPSIM_TRACE=1 first",

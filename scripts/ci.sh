@@ -103,9 +103,9 @@ echo "== result-store gate (cold -> warm: 0 recomputes, digest unchanged) =="
 # publishes every cell, the warm pass must compute 0 cells with a >=95%
 # hit rate (it achieves 100%), zero CRC/framing errors, and both passes
 # must produce the exact grid_digest golden — the store changes *when*
-# results are computed, never *what* they are.
-store_dir=$(mktemp -d)
-CMPSIM_STORE="$store_dir" cargo run -q --release --offline --example store_gate
+# results are computed, never *what* they are. The gate runs in its own
+# scratch store.
+cargo run -q --release --offline --example store_gate
 
 echo "== store warm-rerun speedup (JSON artifact) =="
 # Cold-vs-warm wall-clock for the same grid, recorded to
@@ -123,6 +123,7 @@ echo "== serve daemon smoke (two sweeps on stdin share the store) =="
 # same stream must answer one flat-JSON registry snapshot covering all
 # three instrumented layers (store_*, grid_*, serve_*), and the access
 # log must come back as a sealed JSONL artifact.
+store_dir=$(mktemp -d)
 access_log=$(mktemp -u)
 serve_out=$(printf '%s\n' \
     '{"sweep":"ci-cold","workloads":"apsi,mgrid","variants":"base,pf","cores":2,"warmup":2000,"measure":8000,"threads":2}' \
@@ -156,28 +157,43 @@ head -1 "$access_log" | grep -q '{"cmpsim_log":1}' || {
 rm -f "$access_log"
 rm -rf "$store_dir"
 
+echo "== knob surface: serve --help lists every knob, a malformed one stops the run =="
+# Every CMPSIM_* variable is declared once (crates/harness/src/knobs.rs):
+# `serve --help` must list all 19, and a malformed value must exit with
+# status 2 and a message naming the variable instead of falling back.
+help_out=$(cargo run -q --release --offline -p cmpsim-bench --bin serve -- --help)
+knob_count=$(echo "$help_out" | grep -c '^  CMPSIM_')
+[ "$knob_count" -eq 19 ] || {
+    echo "serve --help lists $knob_count knobs, expected 19:" >&2
+    echo "$help_out" >&2
+    exit 1
+}
+status=0
+bad_out=$(CMPSIM_THREADS=abc cargo run -q --release --offline -p cmpsim-bench --bin serve \
+    2>&1 < /dev/null) || status=$?
+[ "$status" -eq 2 ] && echo "$bad_out" | grep -q 'CMPSIM_THREADS="abc"' || {
+    echo "serve with CMPSIM_THREADS=abc exited $status without naming the knob:" >&2
+    echo "$bad_out" >&2
+    exit 1
+}
+
 echo "== metrics gates: armed inertness + accounting + export schema =="
-# The same digest gate as above, re-run with service metrics explicitly
-# armed: counters and latency histograms are observe-only, so the golden
-# must not move. metrics_gate then asserts the registry agrees with
+# The same digest gate as above: service metrics are always armed, and
+# counters and latency histograms are observe-only, so the golden must
+# not move. metrics_gate then asserts the registry agrees with
 # StoreStats, the warm pass is all cache, the flat-JSON snapshot parses
 # under the repo framing with every required key, and the Prometheus
 # export is well-formed; it also writes the tracked
 # target/bench/service_metrics.json artifact. ops_dashboard --check
-# drives the same registry through the live dashboard renderer.
-CMPSIM_METRICS=1 cargo run -q --release --offline --example grid_digest
-metrics_store=$(mktemp -d)
-CMPSIM_STORE="$metrics_store" CMPSIM_METRICS=1 \
-    cargo run -q --release --offline --example metrics_gate
-rm -rf "$metrics_store"
+# drives the same registry through the live dashboard renderer. Both
+# run in their own scratch stores.
+cargo run -q --release --offline --example grid_digest
+cargo run -q --release --offline --example metrics_gate
 test -s target/bench/service_metrics.json || {
     echo "service metrics bench artifact missing" >&2
     exit 1
 }
-dashboard_store=$(mktemp -d)
-CMPSIM_STORE="$dashboard_store" \
-    cargo run -q --release --offline --example ops_dashboard -- --check > /dev/null
-rm -rf "$dashboard_store"
+cargo run -q --release --offline --example ops_dashboard -- --check > /dev/null
 
 echo "== hermeticity gate: no registry dependencies =="
 # A registry dependency in a manifest is one whose spec carries a

@@ -101,14 +101,23 @@ fn different_chaos_seeds_diverge() {
     );
 }
 
-/// The grid-level property the ISSUE pins: an **env-armed** chaos run is
+/// The grid-level property: an **env-armed** chaos run is
 /// bit-reproducible across repeated invocations and across 1/2/8 worker
-/// threads. This test owns the `CMPSIM_CHAOS` mutation for this binary;
-/// the other tests arm chaos through `System::set_chaos`, which
-/// overrides the environment either way.
+/// threads. Knobs are read once per process, so unless this process was
+/// started with `CMPSIM_CHAOS=9:0.01` the test re-runs itself as a child
+/// that was, instead of mutating the environment other tests read.
 #[test]
 fn env_armed_chaos_grid_is_thread_invariant() {
-    std::env::set_var("CMPSIM_CHAOS", "9:0.01");
+    if cmpsim_harness::knobs().chaos != Some(FaultPlan::new(9, 0.01)) {
+        let out = std::process::Command::new(std::env::current_exe().unwrap())
+            .args(["--exact", "env_armed_chaos_grid_is_thread_invariant"])
+            .env("CMPSIM_CHAOS", "9:0.01")
+            .output()
+            .expect("spawn the test binary");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(out.status.success() && stdout.contains("1 passed"), "armed child:\n{stdout}");
+        return;
+    }
     let specs = vec![workload("zeus").unwrap(), workload("apsi").unwrap()];
     let variants = [Variant::Base, Variant::PrefetchCompression];
     let len = SimLength { warmup: 2_000, measure: 8_000 };
@@ -126,7 +135,6 @@ fn env_armed_chaos_grid_is_thread_invariant() {
         let par = grid(&specs, &variants, len, threads);
         assert_eq!(serial, par, "chaos grid diverged at {threads} threads");
     }
-    std::env::remove_var("CMPSIM_CHAOS");
 }
 
 /// The integrity contract is codec-independent: under BDI and ZCA the

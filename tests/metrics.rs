@@ -19,10 +19,6 @@ fn temp_dir(name: &str) -> std::path::PathBuf {
 /// concurrently-running tests would race.
 #[test]
 fn grid_metrics_account_and_stay_inert() {
-    if !metrics::enabled() {
-        eprintln!("skipping: CMPSIM_METRICS=0");
-        return;
-    }
     let dir = temp_dir("grid");
     let base = SystemConfig::paper_default(2).with_seed(7);
     let len = SimLength { warmup: 1_000, measure: 4_000 };
