@@ -60,7 +60,7 @@ fn random_fills_preserve_invariants() {
         let mut model: HashMap<BlockAddr, u8> = HashMap::new();
         for &(line, segs, prefetched) in ops {
             let addr = BlockAddr(line);
-            let evicted = c.fill(addr, segs, prefetched, line);
+            let evicted: Vec<_> = c.fill(addr, segs, prefetched, line).collect();
             for e in &evicted {
                 prop_assert!(e.addr != addr, "fill must never evict itself");
                 model.remove(&e.addr);
@@ -128,4 +128,54 @@ fn victim_tag_then_refill_promotes() {
     c.fill(BlockAddr(0), 8, false, 0);
     assert!(c.lookup(BlockAddr(0)).is_hit());
     assert_eq!(c.valid_lines(), 4);
+}
+
+/// Recounts occupancy from the tags and recomputes the effective
+/// capacity ratio from that recount, the way the scans once did.
+fn scanned_occupancy(c: &VscCache<u64>) -> (usize, u64, f64) {
+    let (mut lines, mut used) = (0usize, 0u64);
+    c.for_each_valid(|_, _, segs| {
+        lines += 1;
+        used += u64::from(segs);
+    });
+    let cfg = c.config();
+    let ratio = if used == 0 {
+        1.0
+    } else {
+        let tag_cap = cfg.tags_per_set as f64 / cfg.data_lines_per_set() as f64;
+        ((lines as u64 * u64::from(cfg.line_segments)) as f64 / used as f64).min(tag_cap)
+    };
+    (lines, used, ratio)
+}
+
+/// The running occupancy counters equal a full scan after every fill,
+/// resize, invalidation and lookup, and so does the capacity ratio
+/// computed from them, bit for bit.
+#[test]
+fn occupancy_counters_match_a_full_scan() {
+    // 0 = fill (a resize when resident), 1 = invalidate, 2 = lookup.
+    let op = gen::quad(gen::u32s(0..=2), gen::u64s(0..48), gen::u8s(1..=8), gen::bools());
+    check("occupancy_counters_match_a_full_scan", &gen::vec_of(op, 1..300), |ops| {
+        let mut c = new_cache();
+        for &(kind, line, segs, prefetched) in ops {
+            let addr = BlockAddr(line);
+            match kind {
+                0 => {
+                    c.fill(addr, segs, prefetched, line);
+                }
+                1 => {
+                    c.invalidate(addr);
+                }
+                _ => {
+                    c.lookup(addr);
+                }
+            }
+            let (lines, used, ratio) = scanned_occupancy(&c);
+            prop_assert_eq!(c.valid_lines(), lines);
+            prop_assert_eq!(c.used_segments_total(), used);
+            prop_assert_eq!(c.effective_capacity_ratio().to_bits(), ratio.to_bits());
+            prop_assert_eq!(c.check_invariants(), Ok(()));
+        }
+        Ok(())
+    });
 }

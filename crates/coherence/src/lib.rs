@@ -10,7 +10,7 @@
 //! - [`DirEntry`]: the directory view embedded in each L2 tag
 //!   (sharers + exclusive owner + dirty bit), and
 //! - [`DirEntry::handle`]: the protocol transition table mapping an L1
-//!   request to the actions the L2 controller must perform.
+//!   request to the [`DirActions`] the L2 controller must perform.
 //!
 //! Timing (probe latencies, message occupancy) is applied by the simulator
 //! in `cmpsim-core`; everything here is purely functional and exhaustively
@@ -27,7 +27,7 @@
 //! assert!(actions.is_empty());
 //! // Core 1 writes: core 0's copy must be invalidated.
 //! let actions = dir.handle(CoreId(1), L1Request::GetX);
-//! assert_eq!(actions, vec![DirAction::Invalidate(CoreId(0))]);
+//! assert_eq!(actions.iter().collect::<Vec<_>>(), vec![DirAction::Invalidate(CoreId(0))]);
 //! assert_eq!(dir.owner(), Some(CoreId(1)));
 //! ```
 
@@ -37,8 +37,8 @@ mod sharers;
 mod state;
 
 pub use delivery::deliver_with_retries;
-pub use directory::{DirAction, DirEntry, L1Request};
-pub use sharers::SharerSet;
+pub use directory::{DirAction, DirActionIter, DirActions, DirEntry, L1Request};
+pub use sharers::{SharerIter, SharerSet};
 pub use state::MsiState;
 
 /// Identifies one processor core (and its private L1 caches).

@@ -2,6 +2,7 @@
 
 mod engine;
 mod l2;
+mod queue;
 
 pub use engine::System;
 

@@ -144,33 +144,22 @@ impl L2Cache {
     }
 
     /// Inserts `addr` stored in `segments` segments (ignored by the
-    /// classic organization), returning evicted lines.
+    /// classic organization), appending the lines it evicts to `evicted`.
     pub fn fill(
         &mut self,
         addr: BlockAddr,
         segments: u8,
         prefetched: bool,
         dir: DirEntry,
-    ) -> Vec<EvictedL2> {
+        evicted: &mut Vec<EvictedL2>,
+    ) {
         match self {
-            L2Cache::Classic(c) => c
-                .fill(addr, prefetched, dir)
-                .map(|v| EvictedL2 {
-                    addr: v.addr,
-                    dir: v.meta,
-                    was_unused_prefetch: v.was_unused_prefetch,
-                })
-                .into_iter()
-                .collect(),
-            L2Cache::Vsc(c) => c
-                .fill(addr, segments, prefetched, dir)
-                .into_iter()
-                .map(|v| EvictedL2 {
-                    addr: v.addr,
-                    dir: v.meta,
-                    was_unused_prefetch: v.was_unused_prefetch,
-                })
-                .collect(),
+            L2Cache::Classic(c) => evicted.extend(c.fill(addr, prefetched, dir).map(|v| {
+                EvictedL2 { addr: v.addr, dir: v.meta, was_unused_prefetch: v.was_unused_prefetch }
+            })),
+            L2Cache::Vsc(c) => evicted.extend(c.fill(addr, segments, prefetched, dir).map(|v| {
+                EvictedL2 { addr: v.addr, dir: v.meta, was_unused_prefetch: v.was_unused_prefetch }
+            })),
         }
     }
 
@@ -185,9 +174,9 @@ impl L2Cache {
         }
     }
 
-    /// Lines currently resident with data, in either organization.
-    /// Linear in the cache — used by the telemetry sampler, which runs
-    /// every `sample_period` cycles and only when tracing is enabled.
+    /// Lines currently resident with data, in either organization: a
+    /// counter read for the VSC, a scan of the classic cache (used only
+    /// by the livelock diagnostic).
     pub fn valid_lines(&self) -> usize {
         match self {
             L2Cache::Classic(c) => c.valid_lines(),
@@ -195,7 +184,7 @@ impl L2Cache {
         }
     }
 
-    /// Effective-capacity ratio sample (1.0 for the classic cache).
+    /// Effective-capacity ratio sample (1.0 for the classic cache), O(1).
     pub fn capacity_ratio(&self) -> f64 {
         match self {
             L2Cache::Classic(_) => 1.0,
@@ -274,7 +263,7 @@ mod tests {
             let mut l2 = L2Cache::new(64 * 1024, use_vsc, 8);
             let a = BlockAddr(42);
             assert!(!l2.lookup(a).hit);
-            l2.fill(a, 3, true, DirEntry::new());
+            l2.fill(a, 3, true, DirEntry::new(), &mut Vec::new());
             let info = l2.lookup(a);
             assert!(info.hit);
             assert!(info.prefetch_first_touch);
@@ -289,7 +278,7 @@ mod tests {
             let mut l2 = L2Cache::new(64 * 1024, use_vsc, 8);
             let a = BlockAddr(7);
             assert!(l2.invalidate(a).is_none(), "nothing resident yet");
-            l2.fill(a, 2, false, DirEntry::new());
+            l2.fill(a, 2, false, DirEntry::new(), &mut Vec::new());
             assert!(l2.contains(a));
             let dir = l2.invalidate(a);
             assert!(dir.is_some(), "vsc={use_vsc}");
@@ -304,7 +293,7 @@ mod tests {
             let mut l2 = L2Cache::new(64 * 1024, use_vsc, 8);
             assert_eq!(l2.valid_lines(), 0);
             for i in 0..5u64 {
-                l2.fill(BlockAddr(i), 4, false, DirEntry::new());
+                l2.fill(BlockAddr(i), 4, false, DirEntry::new(), &mut Vec::new());
             }
             assert_eq!(l2.valid_lines(), 5, "vsc={use_vsc}");
         }
@@ -316,7 +305,7 @@ mod tests {
         // Fill one set beyond capacity to create a victim tag. With 64 KB
         // VSC: 256 sets; same-set lines are 256 apart.
         for i in 0..5u64 {
-            l2.fill(BlockAddr(i * 256), 8, false, DirEntry::new());
+            l2.fill(BlockAddr(i * 256), 8, false, DirEntry::new(), &mut Vec::new());
         }
         assert!(l2.lookup(BlockAddr(0)).victim_tag);
     }

@@ -22,7 +22,7 @@ mod stream;
 mod throttle;
 
 pub use filter::{FilterTables, StrideClass};
-pub use stream::{StreamTable, StreamTableConfig};
+pub use stream::{Burst, StreamTable, StreamTableConfig};
 pub use throttle::PrefetchThrottle;
 
 use cmpsim_cache::BlockAddr;
@@ -98,7 +98,7 @@ pub struct PrefetchStats {
 /// assert!(pf.on_miss(BlockAddr(12), 6).is_empty());
 /// let burst = pf.on_miss(BlockAddr(13), 6);
 /// // …which launches the 6 startup prefetches for lines 14..=19.
-/// assert_eq!(burst, (14..20).map(BlockAddr).collect::<Vec<_>>());
+/// assert_eq!(burst.collect::<Vec<_>>(), (14..20).map(BlockAddr).collect::<Vec<_>>());
 /// ```
 #[derive(Debug, Clone)]
 pub struct StridePrefetcher {
@@ -138,22 +138,22 @@ impl StridePrefetcher {
 
     /// Observes a demand miss at `addr`; returns prefetches to launch,
     /// capped by the current startup `degree` (0 disables prefetching).
-    pub fn on_miss(&mut self, addr: BlockAddr, degree: u8) -> Vec<BlockAddr> {
+    pub fn on_miss(&mut self, addr: BlockAddr, degree: u8) -> Burst {
         // A miss *within* a tracked stream advances it (the prefetches
         // lagged the demand stream), rather than re-training the filters.
         if let Some(next) = self.streams.advance(addr) {
             if degree == 0 {
-                return Vec::new();
+                return Burst::default();
             }
             self.stats.stream_advances += 1;
             self.stats.issued += 1;
-            return vec![next];
+            return Burst::new(next, 0, 1);
         }
         let Some(stride) = self.filters.train(addr, self.cfg.confirm_threshold) else {
-            return Vec::new();
+            return Burst::default();
         };
         if degree == 0 {
-            return Vec::new();
+            return Burst::default();
         }
         self.stats.streams_allocated += 1;
         let burst = self.streams.allocate(addr, stride, degree.min(self.cfg.startup_prefetches));
@@ -268,7 +268,7 @@ mod tests {
         miss_seq(&mut pf, FULL, [0, 1, 2, 3]); // stream expects 4 next
         // Line 4 missed (prefetch was too late): stream still advances.
         let more = pf.on_miss(BlockAddr(4), FULL);
-        assert_eq!(more, vec![BlockAddr(10)]);
+        assert_eq!(more.collect::<Vec<_>>(), vec![BlockAddr(10)]);
         assert_eq!(pf.stats().stream_advances, 1);
     }
 }

@@ -3,7 +3,9 @@
 
 use cmpsim_cache::BlockAddr;
 use cmpsim_harness::{gen, prop::check, prop_assert, prop_assert_eq};
-use cmpsim_prefetch::{PrefetchThrottle, PrefetcherConfig, StridePrefetcher};
+use cmpsim_prefetch::{
+    PrefetchThrottle, PrefetcherConfig, StreamTable, StreamTableConfig, StridePrefetcher,
+};
 
 /// Bursts never exceed the requested degree or the configured
 /// ceiling, and all burst addresses lie on the detected stride.
@@ -18,7 +20,9 @@ fn bursts_respect_degree_and_stride() {
         let mut pf = StridePrefetcher::new(PrefetcherConfig::l1());
         let mut burst = Vec::new();
         for k in 0..4 {
-            burst = pf.on_miss(BlockAddr(start.wrapping_add((k * stride) as u64)), degree);
+            burst = pf
+                .on_miss(BlockAddr(start.wrapping_add((k * stride) as u64)), degree)
+                .collect::<Vec<_>>();
         }
         let cap = degree.min(PrefetcherConfig::l1().startup_prefetches);
         prop_assert!(burst.len() <= usize::from(cap));
@@ -62,6 +66,29 @@ fn noise_never_confirms() {
             prop_assert!(burst.is_empty(), "noise at {addr} produced prefetches");
         }
         prop_assert_eq!(pf.stats().streams_allocated, 0);
+        Ok(())
+    });
+}
+
+/// A startup burst yields exactly the addresses the stream table once
+/// collected into a `Vec`: `addr + k * stride` for `k` in `1..=degree`,
+/// wrapping at both ends of the address space.
+#[test]
+fn burst_matches_the_collected_progression() {
+    const EDGES: [u64; 4] = [0, 63, u64::MAX - 30, u64::MAX];
+    let addr = gen::pair(gen::usizes(0..8), gen::u64s(..))
+        .map(|(i, raw)| EDGES.get(i).copied().unwrap_or(raw));
+    let cases = gen::triple(addr, gen::i64s(-64..=64), gen::u8s(..));
+    check("burst_matches_the_collected_progression", &cases, |&(addr, stride, degree)| {
+        if stride == 0 {
+            return Ok(());
+        }
+        let mut table = StreamTable::new(StreamTableConfig { entries: 8 });
+        let burst = table.allocate(BlockAddr(addr), stride, degree);
+        prop_assert_eq!(burst.len(), usize::from(degree));
+        let expect: Vec<BlockAddr> =
+            (1..=i64::from(degree)).map(|k| BlockAddr(addr).offset(k * stride)).collect();
+        prop_assert_eq!(burst.collect::<Vec<_>>(), expect);
         Ok(())
     });
 }

@@ -8,7 +8,7 @@
 //! (jbb's 32% L2 accuracy).
 
 use crate::rng::Rng;
-use crate::spec::Region;
+use crate::spec::{wrap, Region};
 
 /// One active strided sweep.
 #[derive(Debug, Clone)]
@@ -64,10 +64,10 @@ impl DataStream {
         self.line_accesses_left -= 1;
         if self.line_accesses_left == 0 {
             self.line_accesses_left = self.accesses_per_line;
-            self.offset = self
-                .offset
-                .wrapping_add(self.stride as u64)
-                .rem_euclid(self.region.lines.max(1));
+            // A negative stride wraps the u64 sum past zero; that lands
+            // at or above `lines`, where `wrap` takes the `%` path.
+            self.offset =
+                wrap(self.offset.wrapping_add(self.stride as u64), self.region.lines.max(1));
             self.lines_left -= 1;
         }
         line
@@ -122,6 +122,27 @@ mod tests {
             let l = s.next_line();
             assert!(region().contains(l), "line {l} outside region");
         }
+    }
+
+    #[test]
+    fn step_matches_the_modulo_formula() {
+        // Small regions and strides up to twice their size, so negative
+        // strides cross zero (and positive ones the top) on most cases.
+        use cmpsim_harness::{gen, prop::check, prop_assert_eq};
+        let cases = gen::triple(gen::u64s(1..=5000), gen::u64s(..), gen::i64s(-10_000..=10_000));
+        check("data_step_matches_the_modulo_formula", &cases, |&(lines, raw, stride)| {
+            const STRIDES: &[i64] = &[1];
+            let region = Region { base: 7, lines };
+            let mut s = DataStream::new(region, 1000, 1, STRIDES, Rng::new(1));
+            let offset = raw % lines;
+            s.offset = offset;
+            s.stride = stride;
+            s.lines_left = 2;
+            s.line_accesses_left = 1;
+            prop_assert_eq!(s.next_line(), 7 + offset % lines);
+            prop_assert_eq!(s.offset, offset.wrapping_add(stride as u64).rem_euclid(lines));
+            Ok(())
+        });
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use crate::data::DataStream;
 use crate::inst::InstStream;
-use crate::rng::Rng;
-use crate::spec::WorkloadSpec;
+use crate::rng::{Geometric, Rng};
+use crate::spec::{wrap, WorkloadSpec};
 use cmpsim_cache::{AccessKind, BlockAddr};
 
 /// Instructions per 64-byte line (4-byte fixed-width instructions).
@@ -84,6 +84,10 @@ pub struct CoreGenerator {
     /// One walk per (pool, tier): [tier1, hot, cold] for shared/private.
     shared_walks: [PoolWalk; 3],
     private_walks: [PoolWalk; 3],
+    /// Instructions between data accesses (`spec.mem_ratio`).
+    data_gap: Geometric,
+    /// Pool run length beyond the first line (`spec.pool_run_mean`).
+    pool_run: Geometric,
     core: u8,
     /// Absolute index of the last emitted event's instruction.
     last_at: u64,
@@ -125,6 +129,8 @@ impl CoreGenerator {
             next_stream: 0,
             shared_walks: [PoolWalk::default(); 3],
             private_walks: [PoolWalk::default(); 3],
+            data_gap: Geometric::new(spec.mem_ratio),
+            pool_run: Geometric::new(1.0 / spec.pool_run_mean.max(1.0)),
             core,
             last_at: 0,
             next_data_at: 0,
@@ -135,22 +141,22 @@ impl CoreGenerator {
     }
 
     fn sample_data_gap(&mut self) -> u64 {
-        self.rng.geometric(self.spec.mem_ratio)
+        self.data_gap.sample(&mut self.rng)
     }
 
     /// Next line of a pool walk: continues the current sequential run or
     /// re-seeds one in the tier selected by the caller.
-    fn walk(walk: &mut PoolWalk, rng: &mut Rng, base: u64, tier: u64, run_mean: f64) -> u64 {
+    fn walk(walk: &mut PoolWalk, rng: &mut Rng, base: u64, tier: u64, run: &Geometric) -> u64 {
         if walk.left == 0 || walk.tier != tier || walk.base != base {
             *walk = PoolWalk {
                 offset: rng.below(tier.max(1)),
                 tier: tier.max(1),
                 base,
-                left: 1 + rng.geometric(1.0 / run_mean.max(1.0)),
+                left: 1 + run.sample(rng),
             };
         }
         let line = base + walk.offset;
-        walk.offset = (walk.offset + 1) % walk.tier;
+        walk.offset = wrap(walk.offset + 1, walk.tier);
         walk.left -= 1;
         line
     }
@@ -160,7 +166,7 @@ impl CoreGenerator {
         let spec = &self.spec;
         let (line, store_p) = if u < spec.stride_fraction {
             let idx = self.next_stream;
-            self.next_stream = (idx + 1) % self.streams.len();
+            self.next_stream = if idx + 1 < self.streams.len() { idx + 1 } else { 0 };
             (self.streams[idx].next_line(), spec.store_fraction)
         } else if u < spec.stride_fraction + spec.shared_fraction {
             let r = spec.shared_region();
@@ -172,13 +178,12 @@ impl CoreGenerator {
             } else {
                 (2, r.lines)
             };
-            let run_mean = spec.pool_run_mean;
             let line = Self::walk(
                 &mut self.shared_walks[tier],
                 &mut self.rng,
                 r.base,
                 pool,
-                run_mean,
+                &self.pool_run,
             );
             (line, spec.shared_store_fraction)
         } else {
@@ -191,13 +196,12 @@ impl CoreGenerator {
             } else {
                 (2, r.lines)
             };
-            let run_mean = spec.pool_run_mean;
             let line = Self::walk(
                 &mut self.private_walks[tier],
                 &mut self.rng,
                 r.base,
                 pool,
-                run_mean,
+                &self.pool_run,
             );
             (line, spec.store_fraction)
         };
@@ -244,6 +248,22 @@ mod tests {
         for _ in 0..5_000 {
             assert_eq!(a.next_event(), b.next_event());
         }
+    }
+
+    #[test]
+    fn pool_walk_step_matches_the_modulo_formula() {
+        use cmpsim_harness::{gen, prop::check, prop_assert_eq};
+        let cases = gen::triple(gen::u64s(1..=5000), gen::u64s(..), gen::u64s(0..1 << 40));
+        check("pool_walk_step_matches_the_modulo_formula", &cases, |&(tier, raw, base)| {
+            let offset = raw % (3 * tier);
+            let mut walk = PoolWalk { offset, tier, base, left: 2 };
+            let line =
+                CoreGenerator::walk(&mut walk, &mut Rng::new(1), base, tier, &Geometric::new(0.5));
+            prop_assert_eq!(line, base + offset);
+            prop_assert_eq!(walk.offset, (offset + 1) % tier);
+            prop_assert_eq!(walk.left, 1);
+            Ok(())
+        });
     }
 
     #[test]

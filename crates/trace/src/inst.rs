@@ -7,8 +7,8 @@
 //! pressure (oltp's huge footprint gives it the paper's highest L1I
 //! prefetch rate, 13.5/1k instructions).
 
-use crate::rng::Rng;
-use crate::spec::Region;
+use crate::rng::{Geometric, Rng};
+use crate::spec::{wrap, Region};
 
 /// Generator of successive instruction-line addresses.
 #[derive(Debug, Clone)]
@@ -16,7 +16,9 @@ pub struct InstStream {
     region: Region,
     hot_lines: u64,
     hot_fraction: f64,
-    run_mean: f64,
+    /// Run length beyond the first line: continue probability
+    /// `1 - 1/run_mean`, so the mean run is `run_mean` lines.
+    run: Geometric,
     rng: Rng,
     offset: u64,
     run_left: u64,
@@ -30,7 +32,7 @@ impl InstStream {
             region,
             hot_lines: hot_lines.max(1),
             hot_fraction,
-            run_mean: run_mean.max(1.0),
+            run: Geometric::new(1.0 / run_mean.max(1.0)),
             rng,
             offset: 0,
             run_left: 0,
@@ -46,8 +48,7 @@ impl InstStream {
             self.region.lines
         };
         self.offset = self.rng.below(pool.max(1));
-        // Mean run length `run_mean` ⇒ continue probability 1-1/mean.
-        self.run_left = 1 + self.rng.geometric(1.0 / self.run_mean);
+        self.run_left = 1 + self.run.sample(&mut self.rng);
     }
 
     /// The line containing the next chunk of instructions; each call
@@ -57,7 +58,7 @@ impl InstStream {
             self.jump();
         }
         let line = self.region.line(self.offset);
-        self.offset = (self.offset + 1) % self.region.lines;
+        self.offset = wrap(self.offset + 1, self.region.lines);
         self.run_left -= 1;
         line
     }
@@ -106,6 +107,23 @@ mod tests {
             })
             .count();
         assert!(hot_hits as f64 / 20_000.0 > 0.6);
+    }
+
+    #[test]
+    fn step_matches_the_modulo_formula() {
+        use cmpsim_harness::{gen, prop::check, prop_assert_eq};
+        let cases = gen::pair(gen::u64s(1..=5000), gen::u64s(..));
+        check("inst_step_matches_the_modulo_formula", &cases, |&(lines, raw)| {
+            let mut s = stream(lines, 1, 0.5, 4.0);
+            // In-range offsets are the generator's invariant; offsets up
+            // to three regions out must wrap exactly as `%` did too.
+            let offset = raw % (3 * lines);
+            s.offset = offset;
+            s.run_left = 2;
+            prop_assert_eq!(s.next_line(), 1000 + offset % lines);
+            prop_assert_eq!(s.offset, (offset + 1) % lines);
+            Ok(())
+        });
     }
 
     #[test]

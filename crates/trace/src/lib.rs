@@ -32,7 +32,7 @@ mod workloads;
 pub use data::DataStream;
 pub use generator::{CoreGenerator, TimedEvent, TraceEvent};
 pub use inst::InstStream;
-pub use rng::Rng;
+pub use rng::{Geometric, Rng};
 pub use spec::{Region, WorkloadClass, WorkloadSpec};
 pub use values::{LineClass, ValueProfile};
 pub use workloads::{all_workloads, commercial_workloads, scientific_workloads, workload};

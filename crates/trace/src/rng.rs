@@ -68,19 +68,6 @@ impl Rng {
         self.f64() < p
     }
 
-    /// Geometric gap: number of failures before a success with
-    /// probability `p`, i.e. instructions until the next event.
-    pub fn geometric(&mut self, p: f64) -> u64 {
-        if p >= 1.0 {
-            return 0;
-        }
-        if p <= 0.0 {
-            return u64::MAX / 2;
-        }
-        let u = self.f64().max(f64::MIN_POSITIVE);
-        (u.ln() / (1.0 - p).ln()).floor() as u64
-    }
-
     /// Picks a random element of `items`.
     ///
     /// # Panics
@@ -89,6 +76,50 @@ impl Rng {
     pub fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "cannot pick from an empty slice");
         &items[self.below(items.len() as u64) as usize]
+    }
+}
+
+/// Geometric gaps with a fixed success probability `p`: the number of
+/// failures before a success, i.e. instructions until the next event.
+///
+/// `ln(1 - p)` is computed once here rather than on every draw; each
+/// draw is then one `ln` of a uniform variate and one division.
+///
+/// # Examples
+///
+/// ```
+/// use cmpsim_trace::{Geometric, Rng};
+/// let gap = Geometric::new(0.25);
+/// let mut rng = Rng::new(5);
+/// let mean = (0..10_000).map(|_| gap.sample(&mut rng)).sum::<u64>() as f64 / 10_000.0;
+/// assert!((mean - 3.0).abs() < 0.2, "mean (1 - p) / p");
+/// ```
+#[derive(Debug, Clone, Copy)]
+pub struct Geometric {
+    p: f64,
+    ln_q: f64,
+}
+
+impl Geometric {
+    /// A sampler for success probability `p`. `p >= 1` always gives 0
+    /// and `p <= 0` always gives `u64::MAX / 2`, both without drawing.
+    pub fn new(p: f64) -> Self {
+        Geometric { p, ln_q: (1.0 - p).ln() }
+    }
+
+    /// Draws one gap from `rng`.
+    #[inline]
+    pub fn sample(&self, rng: &mut Rng) -> u64 {
+        if self.p >= 1.0 {
+            return 0;
+        }
+        if self.p <= 0.0 {
+            return u64::MAX / 2;
+        }
+        let u = rng.f64().max(f64::MIN_POSITIVE);
+        // `as u64` floors every non-negative ratio and maps a negative or
+        // NaN one to 0, exactly as `.floor() as u64` would.
+        (u.ln() / self.ln_q) as u64
     }
 }
 
@@ -143,7 +174,8 @@ mod tests {
         let mut r = Rng::new(5);
         let p = 0.25;
         let n = 50_000;
-        let sum: u64 = (0..n).map(|_| r.geometric(p)).sum();
+        let gap = Geometric::new(p);
+        let sum: u64 = (0..n).map(|_| gap.sample(&mut r)).sum();
         let mean = sum as f64 / n as f64;
         let expected = (1.0 - p) / p; // 3.0
         assert!((mean - expected).abs() < 0.1, "mean {mean} vs {expected}");

@@ -23,13 +23,29 @@ pub struct Region {
 
 impl Region {
     /// The line at `offset` within the region (wraps around).
+    #[inline]
     pub fn line(&self, offset: u64) -> u64 {
-        self.base + offset % self.lines
+        self.base + wrap(offset, self.lines)
     }
 
     /// Whether `line` falls inside the region.
     pub fn contains(&self, line: u64) -> bool {
         (self.base..self.base + self.lines).contains(&line)
+    }
+}
+
+/// `x % m`, skipping the division when `x` is already below `m` — the
+/// case on nearly every generator step, since offsets are kept in range.
+///
+/// # Panics
+///
+/// Panics if `m` is zero, as `%` does.
+#[inline]
+pub(crate) fn wrap(x: u64, m: u64) -> u64 {
+    if x < m {
+        x
+    } else {
+        x % m
     }
 }
 

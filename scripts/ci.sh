@@ -58,6 +58,22 @@ cargo run -q --release --offline --example timeline -- --check \
     "$(ls "$trace_dir"/*.jsonl | head -1)"
 rm -rf "$trace_dir"
 
+echo "== perfbench: builds against this tree, held-out seed 23 reproduces =="
+# perfbench/ is the repository's benchmark (BENCHMARK.json), a separate
+# workspace that calls the crates' public APIs. Building it catches an
+# API change that would break the benchmark; one pass of each engine
+# workload at its pinned held-out seed catches model drift the smoke
+# goldens miss. This checks correctness, not speed: the JSON report's
+# last line must say "correct": true.
+for workload in table5_fpc bdi_stream; do
+    pb_out=$(bash perfbench/run.sh --workload "$workload" --seed 23 --seconds 1 --trace 0)
+    echo "$pb_out" | tail -1 | grep -q '"correct": true' || {
+        echo "perfbench $workload at seed 23 is not correct:" >&2
+        echo "$pb_out" >&2
+        exit 1
+    }
+done
+
 echo "== chaos gates: disarmed inertness + seeded bit-reproducibility =="
 # Disarmed inertness is already pinned by the digest gates above: the
 # chaos engine is compiled in but unarmed there, and the goldens predate
