@@ -36,9 +36,6 @@ pub struct Knobs {
     pub store: Option<PathBuf>,
     pub store_max_bytes: Option<u64>,
     pub access_log: Option<PathBuf>,
-    pub bench_iters: Option<u32>,
-    pub bench_warmup: Option<u32>,
-    pub bench_dir: Option<PathBuf>,
     pub pt_cases: Option<u32>,
     pub pt_seed: Option<u64>,
     pub write_golden: bool,
@@ -86,12 +83,12 @@ const fn knob(name: &'static str, default: &'static str, doc: &'static str, kind
     Knob { name, default, doc, kind }
 }
 
-/// Iteration and case counts stay far below `u32::MAX`.
-const MAX_ITERS: u64 = 1_000_000;
+/// Case counts stay far below `u32::MAX`.
+const MAX_CASES: u64 = 1_000_000;
 
 /// Every knob, in the order [`help`] lists them.
 #[rustfmt::skip]
-static KNOBS: [Knob; 19] = [
+static KNOBS: [Knob; 16] = [
     knob("CMPSIM_THREADS", "all cores", "worker threads per grid sweep",
         Count { min: 1, max: 4096, set: |k, n| k.threads = Some(n as usize) }),
     // Past 24 h a deadline is a unit mistake.
@@ -99,8 +96,9 @@ static KNOBS: [Knob; 19] = [
         Millis { min: 1, max: 86_400_000, set: |k, d| k.cell_deadline = Some(d) }),
     knob("CMPSIM_WARMUP", "per program", "warmup instructions per core",
         Count { min: 0, max: u64::MAX, set: |k, n| k.warmup = Some(n) }),
+    // Zero measures nothing, which the engine refuses.
     knob("CMPSIM_MEASURE", "per program", "measured instructions per core",
-        Count { min: 0, max: u64::MAX, set: |k, n| k.measure = Some(n) }),
+        Count { min: 1, max: u64::MAX, set: |k, n| k.measure = Some(n) }),
     knob("CMPSIM_CHECK", "0", "sampled invariant checks", Flag(|k, on| k.check = on)),
     knob("CMPSIM_CHAOS", "off", "seeded fault injection, rate in [0, 1]",
         Chaos(|k, plan| k.chaos = Some(plan))),
@@ -118,17 +116,11 @@ static KNOBS: [Knob; 19] = [
         Bytes { min: 1, set: |k, n| k.store_max_bytes = Some(n) }),
     knob("CMPSIM_ACCESS_LOG", "none", "serve's sealed access log",
         Path(|k, p| k.access_log = Some(p))),
-    knob("CMPSIM_BENCH_ITERS", "per bench", "measured iterations per benchmark",
-        Count { min: 1, max: MAX_ITERS, set: |k, n| k.bench_iters = Some(n as u32) }),
-    knob("CMPSIM_BENCH_WARMUP", "per bench", "warmup iterations per benchmark",
-        Count { min: 0, max: MAX_ITERS, set: |k, n| k.bench_warmup = Some(n as u32) }),
-    knob("CMPSIM_BENCH_DIR", "target/bench", "where bench JSON artifacts land",
-        Path(|k, p| k.bench_dir = Some(p))),
     knob("CMPSIM_PT_CASES", "128", "cases per property test",
-        Count { min: 1, max: MAX_ITERS, set: |k, n| k.pt_cases = Some(n as u32) }),
+        Count { min: 1, max: MAX_CASES, set: |k, n| k.pt_cases = Some(n as u32) }),
     knob("CMPSIM_PT_SEED", "0", "base seed of every property test",
         Count { min: 0, max: u64::MAX, set: |k, n| k.pt_seed = Some(n) }),
-    knob("CMPSIM_WRITE_GOLDEN", "0", "grid_digest re-records tests/golden",
+    knob("CMPSIM_WRITE_GOLDEN", "0", "grid_digest, codec_gate re-record baselines",
         Flag(|k, on| k.write_golden = on)),
 ];
 
@@ -283,7 +275,7 @@ mod tests {
             // Counts: whitespace trims, empty is unset, garbage is rejected.
             ("CMPSIM_MEASURE", "600000", measure(600_000)),
             ("CMPSIM_MEASURE", " 42\n", measure(42)),
-            ("CMPSIM_MEASURE", "0", measure(0)),
+            ("CMPSIM_MEASURE", "0", Err("outside 1..=")),
             ("CMPSIM_MEASURE", "18446744073709551615", measure(u64::MAX)),
             ("CMPSIM_MEASURE", "", unset()),
             ("CMPSIM_THREADS", "   \t", unset()),
@@ -330,6 +322,9 @@ mod tests {
             ("CMPSIM_CHAOS", "-1:0.5", Err("bad seed")),
             // Names no knob declares are skipped.
             ("CMPSIM_METRICS", "0", unset()),
+            ("CMPSIM_BENCH_ITERS", "3", unset()),
+            ("CMPSIM_BENCH_WARMUP", "1", unset()),
+            ("CMPSIM_BENCH_DIR", "target/bench", unset()),
             ("PATH", "/bin", unset()),
         ];
         for (name, value, want) in cases {
@@ -406,6 +401,6 @@ mod tests {
             "README's knob table differs from the declared knobs; paste `serve --help`:\n{}",
             help()
         );
-        assert_eq!(help().matches("\n  CMPSIM_").count(), 19);
+        assert_eq!(help().matches("\n  CMPSIM_").count(), 16);
     }
 }

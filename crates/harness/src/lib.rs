@@ -1,9 +1,10 @@
-//! Hermetic test and benchmark harness for the cmpsim workspace.
+//! Hermetic test harness and shared plumbing for the cmpsim workspace.
 //!
 //! The container this project builds in has **no crates.io access**, so the
-//! usual ecosystem crates (`proptest`, `criterion`, `rayon`) are off the
-//! table. This crate replaces exactly the slices of them the simulator
-//! needs, with zero dependencies beyond `std`:
+//! usual ecosystem crates (`proptest`, `rayon`) are off the table. This
+//! crate replaces exactly the slices of them the simulator needs, with
+//! zero dependencies beyond `std`. Host speed is measured by `perfbench/`,
+//! the repository's one benchmark, not here.
 //!
 //! - [`prop`] + [`gen`] — a deterministic property-testing mini-framework:
 //!   seeded generators built on the same xorshift64* pattern as
@@ -13,9 +14,6 @@
 //!   round-trip exactness, fast/full sizing agreement, zero-fill
 //!   monotonicity and never-expands, checked against any codec described
 //!   by plain function pointers.
-//! - [`bench`] — a self-contained benchmark runner (warmup + timed
-//!   iterations, median/p10/p90) that writes JSON artifacts to
-//!   `target/bench/*.json`.
 //! - [`supervise`] — the one job executor: idle workers claim the next
 //!   unstarted job, so a vector of independent closures spreads across
 //!   cores with outcomes returned in submission order. Each job's
@@ -52,7 +50,6 @@
 //! (`cmpsim_core::experiment::run_cells_resilient`) returns
 //! bit-identical results at any thread count.
 
-pub mod bench;
 pub mod chaos;
 pub mod codec_conformance;
 pub mod fastmap;

@@ -13,7 +13,7 @@
 //!   long job never holds up the short ones behind it. The extra workers
 //!   are scoped threads, joined before [`run_supervised`] returns; at
 //!   `threads <= 1` every job runs inline on the caller and no thread is
-//!   spawned (DESIGN.md §7.3 gives the memory measurements behind this).
+//!   spawned (DESIGN.md §7.2 gives the memory measurements behind this).
 //! - **Deadline armed** ([`Supervisor::deadline`], by default the
 //!   `CMPSIM_CELL_DEADLINE_MS` knob): each job gets its own detached thread,
 //!   because a hung job cannot be killed from safe Rust. A job whose

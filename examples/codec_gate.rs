@@ -1,7 +1,8 @@
-//! CI gate for the codec-throughput artifact: compares the fresh
-//! `target/bench/codec_throughput.json` against the committed
-//! `BENCH_codec_throughput.json` baseline, prints the PR-over-PR delta
-//! table, and fails on
+//! Codec-throughput gate (`scripts/ci.sh`): measures every codec's
+//! compress, fast-decode and reference-decode rates over six line
+//! classes, compares them against the committed
+//! `BENCH_codec_throughput.json` baseline, prints the delta table, and
+//! fails on
 //!
 //! - any throughput metric (`*_mwps` / `*_gbps`) regressing by more than
 //!   2x versus the baseline (noise-tolerant: machine-to-machine and
@@ -10,13 +11,25 @@
 //!   reference on the zero-heavy class (`fpc/zero/decode_speedup`), the
 //!   acceptance bar of the decode fast-path work.
 //!
+//! The baseline is pinned: CI never overwrites it. `CMPSIM_WRITE_GOLDEN=1`
+//! re-records it from this run instead of comparing, for a change that
+//! says why.
+//!
 //! ```sh
-//! cargo run --release --example codec_gate [baseline.json] [fresh.json]
+//! cargo run --release --example codec_gate
+//! CMPSIM_WRITE_GOLDEN=1 cargo run --release --example codec_gate   # re-record
 //! ```
 
-use cmpsim::report::Table;
+use cmpsim::fpc::{CodecKind, LINE_BYTES};
+use cmpsim::report::{
+    codec_throughput_summary, codec_throughput_table, measure_codec_throughput, Table,
+};
+use cmpsim::trace::LineClass;
+use cmpsim_harness::{knobs, metrics};
 use std::collections::BTreeMap;
 use std::path::Path;
+
+const BASELINE_PATH: &str = "BENCH_codec_throughput.json";
 
 /// Regression tolerance: a metric may halve before the gate trips.
 const MAX_REGRESSION: f64 = 2.0;
@@ -25,15 +38,81 @@ const MAX_REGRESSION: f64 = 2.0;
 const REQUIRED_ZERO_SPEEDUP: f64 = 2.0;
 const SPEEDUP_KEY: &str = "fpc/zero/decode_speedup";
 
-/// Parses the flat `"metrics": {"name": value, ...}` object the bench
-/// runner writes. Hand-rolled on purpose: the workspace is hermetic (no
-/// serde), the writer is ours, and its keys never contain escapes, commas
-/// or nested braces.
+/// Line classes sampled, spanning the compressibility landscape of
+/// `crates/trace`: all-zero lines, small integers, pointers, sparse and
+/// dense floating point, and high-entropy bytes.
+const CLASSES: [(&str, LineClass); 6] = [
+    ("zero", LineClass::Zero),
+    ("small_int", LineClass::SmallInt),
+    ("pointer", LineClass::Pointer),
+    ("fp_sparse", LineClass::Fp { zero_word_permille: 400 }),
+    ("fp_dense", LineClass::Fp { zero_word_permille: 0 }),
+    ("random", LineClass::Random),
+];
+
+/// Lines per class — enough to defeat trivial branch-predictor
+/// memorization while staying cache-resident, so the numbers measure the
+/// decoders rather than memory.
+const LINES: usize = 256;
+
+/// Passes over the batch per measured sample.
+const ITERS: u32 = 200;
+
+/// Measures every codec on every class and returns the `codec/class/metric`
+/// rates in measurement order, the order the baseline file lists them.
+fn measure() -> Vec<(String, f64)> {
+    let mut rows = Vec::new();
+    for (label, class) in CLASSES {
+        let mut lines = vec![[0u8; LINE_BYTES]; LINES];
+        for (i, line) in lines.iter_mut().enumerate() {
+            // Deterministic per-line entropy: same content every run, so
+            // deltas against the baseline measure code, not data.
+            class.fill((i as u64 ^ 11).wrapping_mul(0x9E37_79B9_7F4A_7C15), line);
+        }
+        for kind in CodecKind::all() {
+            // One unrecorded warmup pass, then the measured sample.
+            measure_codec_throughput(kind, label, &lines, ITERS.div_ceil(4));
+            rows.push(measure_codec_throughput(kind, label, &lines, ITERS));
+        }
+    }
+    codec_throughput_table(&rows).print("codec throughput (per workload class)");
+    println!("{}", codec_throughput_summary(&rows));
+    rows.iter()
+        .flat_map(|r| {
+            let p = r.metric_prefix();
+            [
+                ("compress_mwps", r.compress_mwps),
+                ("decompress_mwps", r.decompress_mwps),
+                ("reference_mwps", r.reference_mwps),
+                ("compress_gbps", r.compress_gbps),
+                ("decompress_gbps", r.decompress_gbps),
+                ("decode_speedup", r.decode_speedup),
+            ]
+            .map(|(m, v)| (format!("{p}/{m}"), v))
+        })
+        .collect()
+}
+
+/// Renders the baseline file in its committed layout: the suite name, an
+/// empty `results` list and the flat `"metrics"` object [`metrics_of`]
+/// reads.
+fn baseline_json(fresh: &[(String, f64)]) -> String {
+    let pairs: Vec<String> = fresh.iter().map(|(k, v)| format!("\"{k}\": {v}")).collect();
+    format!(
+        "{{\n  \"suite\": \"codec_throughput\",\n  \"results\": [\n  ],\n  \"metrics\": {{{}}}\n}}\n",
+        pairs.join(", ")
+    )
+}
+
+/// Parses the baseline's flat `"metrics": {"name": value, ...}` object.
+/// Hand-rolled on purpose: the workspace is hermetic (no serde), the
+/// writer is ours, and its keys never contain escapes, commas or nested
+/// braces.
 fn metrics_of(path: &Path) -> BTreeMap<String, f64> {
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read {}: {e}", path.display()));
     let at = text.find("\"metrics\"").unwrap_or_else(|| {
-        panic!("{}: no \"metrics\" object (not a bench artifact?)", path.display())
+        panic!("{}: no \"metrics\" object (not a codec baseline?)", path.display())
     });
     let open = at + text[at..].find('{').expect("metrics object opens");
     let close = open + text[open..].find('}').expect("metrics object closes");
@@ -52,25 +131,20 @@ fn metrics_of(path: &Path) -> BTreeMap<String, f64> {
     out
 }
 
-fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let baseline_path = args.get(1).map_or("BENCH_codec_throughput.json", String::as_str);
-    let fresh_path = args.get(2).map_or("target/bench/codec_throughput.json", String::as_str);
-    let baseline = metrics_of(Path::new(baseline_path));
-    let fresh = metrics_of(Path::new(fresh_path));
-
+/// Prints the delta table against the baseline and returns one message
+/// per metric that is missing or regressed past [`MAX_REGRESSION`].
+fn compare(baseline: &BTreeMap<String, f64>, fresh: &BTreeMap<String, f64>) -> Vec<String> {
     let mut t = Table::new(&["metric", "baseline", "fresh", "delta", "gate"]);
     let mut failures = Vec::new();
-    for (key, &base) in &baseline {
+    for (key, &base) in baseline {
         let Some(&now) = fresh.get(key) else {
             failures.push(format!("{key}: present in baseline but missing from fresh run"));
             continue;
         };
         // Only absolute throughput rates are gated; *_speedup ratios and
         // any future bookkeeping metrics are reported ungated (the
-        // acceptance speedup below is checked on the fresh run alone,
-        // where it is meaningful regardless of what machine recorded the
-        // baseline).
+        // acceptance speedup is checked on the fresh run alone, where it
+        // is meaningful regardless of what machine recorded the baseline).
         let gated = key.ends_with("_mwps") || key.ends_with("_gbps");
         let regressed = gated && base.is_finite() && base > 0.0 && now * MAX_REGRESSION < base;
         let delta = if base > 0.0 { format!("{:+.1}%", (now / base - 1.0) * 100.0) } else { "-".into() };
@@ -89,23 +163,35 @@ fn main() {
         }
     }
     t.print(&format!(
-        "codec throughput vs committed baseline ({baseline_path}); \
+        "codec throughput vs committed baseline ({BASELINE_PATH}); \
          gate trips below 1/{MAX_REGRESSION:.0}x"
     ));
+    failures
+}
 
-    match fresh.get(SPEEDUP_KEY) {
-        Some(&s) if s >= REQUIRED_ZERO_SPEEDUP => {
-            println!("{SPEEDUP_KEY}: {s:.2}x >= required {REQUIRED_ZERO_SPEEDUP:.1}x");
-        }
-        Some(&s) => failures.push(format!(
+fn main() {
+    let fresh = measure();
+    let mut failures = if knobs().write_golden {
+        metrics::write_atomic(Path::new(BASELINE_PATH), &baseline_json(&fresh))
+            .unwrap_or_else(|e| panic!("cannot write {BASELINE_PATH}: {e}"));
+        println!("recorded codec baseline to {BASELINE_PATH}");
+        Vec::new()
+    } else {
+        compare(&metrics_of(Path::new(BASELINE_PATH)), &fresh.iter().cloned().collect())
+    };
+
+    let &(_, s) = fresh.iter().find(|(k, _)| k == SPEEDUP_KEY).expect("fpc/zero is measured");
+    if s >= REQUIRED_ZERO_SPEEDUP {
+        println!("{SPEEDUP_KEY}: {s:.2}x >= required {REQUIRED_ZERO_SPEEDUP:.1}x");
+    } else {
+        failures.push(format!(
             "{SPEEDUP_KEY}: {s:.2}x below the required {REQUIRED_ZERO_SPEEDUP:.1}x — the \
              dispatch-table decoder no longer beats the scalar reference on zero-heavy lines"
-        )),
-        None => failures.push(format!("{SPEEDUP_KEY}: missing from fresh artifact")),
+        ));
     }
 
     if failures.is_empty() {
-        println!("codec gate: OK ({} metrics compared)", baseline.len());
+        println!("codec gate: OK ({} metrics measured)", fresh.len());
     } else {
         eprintln!("codec gate: FAILED");
         for f in &failures {

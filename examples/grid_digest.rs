@@ -54,8 +54,8 @@ fn digest_grid(base: &SystemConfig, variants: &[Variant], len: SimLength) -> (St
         .into_iter()
         .collect::<Result<_, _>>()
         .expect("smoke grid simulates");
-    // The digest itself lives in `report::grid_digest` so the store gate
-    // (examples/store_gate.rs) folds the exact same fields.
+    // The digest itself lives in `report::grid_digest` so the store and
+    // metrics gate (examples/metrics_gate.rs) folds the exact same fields.
     (report::grid_digest(&cells), cells.len())
 }
 

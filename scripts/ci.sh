@@ -3,8 +3,8 @@
 # no crate manifest has reintroduced a registry dependency.
 #
 # The workspace is hermetic by construction — every dependency is a
-# path dependency on a sibling crate, and the test/bench harness lives
-# in crates/harness — so `--offline` must always succeed. Run from
+# path dependency on a sibling crate, and the test harness lives in
+# crates/harness — so `--offline` must always succeed. Run from
 # anywhere inside the repo.
 set -euo pipefail
 
@@ -90,47 +90,14 @@ diff "$chaos_a" "$chaos_b" || {
 }
 rm -f "$chaos_a" "$chaos_b"
 
-echo "== throughput baseline (smoke grid, JSON artifact) =="
-# Engine events/sec and committed MIPS per variant on the smoke grid;
-# the artifact lands in target/bench/throughput.json so CI runs leave a
-# comparable record (see DESIGN.md, Performance).
-CMPSIM_BENCH_WARMUP=1 CMPSIM_BENCH_ITERS=3 \
-    cargo bench -q --offline -p cmpsim-bench --bench throughput
-test -s target/bench/throughput.json || {
-    echo "throughput bench artifact missing" >&2
-    exit 1
-}
-
 echo "== codec-throughput gate (vs BENCH_codec_throughput.json baseline) =="
-# The bench stage above also re-measured per-codec compress/decompress
-# rates into target/bench/codec_throughput.json. Compare against the
-# committed baseline: print the delta table, fail on any >2x
-# throughput regression, and require the FPC dispatch-table decoder to
-# keep its >=2x speedup over the in-tree scalar reference on zero-heavy
-# lines. The baseline is pinned: CI never overwrites it.
-test -s target/bench/codec_throughput.json || {
-    echo "codec throughput bench artifact missing" >&2
-    exit 1
-}
+# Measures per-codec compress/decompress rates over six line classes and
+# compares them against the committed baseline: print the delta table,
+# fail on any >2x throughput regression, and require the FPC
+# dispatch-table decoder to keep its >=2x speedup over the in-tree
+# scalar reference on zero-heavy lines. The baseline is pinned: CI never
+# overwrites it.
 cargo run -q --release --offline --example codec_gate
-
-echo "== result-store gate (cold -> warm: 0 recomputes, digest unchanged) =="
-# The smoke grid runs twice against one store: the cold pass computes and
-# publishes every cell, the warm pass must compute 0 cells with a >=95%
-# hit rate (it achieves 100%), zero CRC/framing errors, and both passes
-# must produce the exact grid_digest golden — the store changes *when*
-# results are computed, never *what* they are. The gate runs in its own
-# scratch store.
-cargo run -q --release --offline --example store_gate
-
-echo "== store warm-rerun speedup (JSON artifact) =="
-# Cold-vs-warm wall-clock for the same grid, recorded to
-# target/bench/store_warm.json (speedup, hit rate, recomputed cells).
-cargo bench -q --offline -p cmpsim-bench --bench store_warm
-test -s target/bench/store_warm.json || {
-    echo "store warm-rerun bench artifact missing" >&2
-    exit 1
-}
 
 echo "== serve daemon smoke (two sweeps on stdin share the store) =="
 # Two identical sweep requests through the daemon: the first computes,
@@ -175,12 +142,12 @@ rm -rf "$store_dir"
 
 echo "== knob surface: serve --help lists every knob, a malformed one stops the run =="
 # Every CMPSIM_* variable is declared once (crates/harness/src/knobs.rs):
-# `serve --help` must list all 19, and a malformed value must exit with
+# `serve --help` must list all 16, and a malformed value must exit with
 # status 2 and a message naming the variable instead of falling back.
 help_out=$(cargo run -q --release --offline -p cmpsim-bench --bin serve -- --help)
 knob_count=$(echo "$help_out" | grep -c '^  CMPSIM_')
-[ "$knob_count" -eq 19 ] || {
-    echo "serve --help lists $knob_count knobs, expected 19:" >&2
+[ "$knob_count" -eq 16 ] || {
+    echo "serve --help lists $knob_count knobs, expected 16:" >&2
     echo "$help_out" >&2
     exit 1
 }
@@ -193,22 +160,20 @@ bad_out=$(CMPSIM_THREADS=abc cargo run -q --release --offline -p cmpsim-bench --
     exit 1
 }
 
-echo "== metrics gates: armed inertness + accounting + export schema =="
-# The same digest gate as above: service metrics are always armed, and
-# counters and latency histograms are observe-only, so the golden must
-# not move. metrics_gate then asserts the registry agrees with
-# StoreStats, the warm pass is all cache, the flat-JSON snapshot parses
-# under the repo framing with every required key, and the Prometheus
-# export is well-formed; it also writes the tracked
-# target/bench/service_metrics.json artifact. ops_dashboard --check
-# drives the same registry through the live dashboard renderer. Both
-# run in their own scratch stores.
-cargo run -q --release --offline --example grid_digest
+echo "== result-store + metrics gate (cold -> warm: 0 recomputes, digest unchanged) =="
+# The smoke grid runs twice against one scratch store, with service
+# metrics armed (they always are): the cold pass computes and publishes
+# every cell, the warm pass must compute 0 cells with a >=95% hit rate
+# (it achieves 100%), zero CRC/framing errors, and both passes must
+# produce the exact grid_digest golden — the store changes *when*
+# results are computed, never *what* they are, and counters and latency
+# histograms are observe-only. metrics_gate also asserts the registry
+# agrees with StoreStats, the warm pass is all cache, the flat-JSON
+# snapshot parses under the repo framing with every required key, and
+# the Prometheus export is well-formed. ops_dashboard --check drives the
+# same registry through the live dashboard renderer. Both run in their
+# own scratch stores.
 cargo run -q --release --offline --example metrics_gate
-test -s target/bench/service_metrics.json || {
-    echo "service metrics bench artifact missing" >&2
-    exit 1
-}
 cargo run -q --release --offline --example ops_dashboard -- --check > /dev/null
 
 echo "== hermeticity gate: no registry dependencies =="
