@@ -180,12 +180,6 @@ impl DirEntry {
         self.dirty
     }
 
-    /// Marks the L2 copy dirty (e.g. when a fill response carries data
-    /// that memory does not yet have).
-    pub fn set_dirty(&mut self, dirty: bool) {
-        self.dirty = dirty;
-    }
-
     /// Whether any L1 holds a copy (relevant for inclusive-eviction cost).
     pub fn has_l1_copies(&self) -> bool {
         !self.sharers.is_empty()

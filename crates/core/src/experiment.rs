@@ -187,9 +187,7 @@ pub struct ResilienceOptions {
     /// Worker count, per-cell deadline (the `CMPSIM_CELL_DEADLINE_MS`
     /// knob), and retry policy.
     pub supervisor: Supervisor,
-    /// Checkpoint journal path; `None` disables checkpointing. See
-    /// [`ResilienceOptions::default_journal_path`] for the conventional
-    /// location under `target/grid/`.
+    /// Checkpoint journal path; `None` disables checkpointing.
     pub journal: Option<PathBuf>,
     /// Content-addressed result store consulted before scheduling each
     /// cell and fed as cells complete; `None` disables store reuse.
@@ -209,14 +207,6 @@ impl ResilienceOptions {
     pub fn with_store(mut self, store: Arc<ResultStore>) -> Self {
         self.store = Some(store);
         self
-    }
-
-    /// The conventional journal location for a named sweep:
-    /// `target/grid/<sweep>.jsonl` (overridable with the `CMPSIM_GRID_DIR`
-    /// knob).
-    pub fn default_journal_path(sweep: &str) -> PathBuf {
-        svc_metrics::artifact_dir(knobs().grid_dir.as_deref(), "grid")
-            .join(format!("{sweep}.jsonl"))
     }
 }
 

@@ -258,7 +258,10 @@ impl TelemetrySample {
 /// therefore varies run to run, so [`PartialEq`] deliberately ignores
 /// it — the grid determinism and kill/resume suites compare results
 /// with `==` and must not be perturbed by timing noise.
-#[derive(Debug, Clone)]
+///
+/// `record_fields` lists every field once, for the journal and store
+/// records and for `grid_digest`.
+#[derive(Debug, Clone, Default)]
 pub struct RunResult {
     /// Counters accumulated during the measurement phase.
     pub stats: SimStats,
@@ -337,6 +340,113 @@ impl RunResult {
             self.retired as f64 * 1e3 / self.host_nanos as f64
         }
     }
+}
+
+/// Where one [`RunResult`] field lives, and how it travels as the `u64`
+/// that records and the digest carry.
+pub(crate) enum Slot<'a> {
+    U64(&'a mut u64),
+    U32(&'a mut u32),
+    /// Carried as its IEEE-754 bit pattern, so it round-trips exactly.
+    F64Bits(&'a mut f64),
+}
+
+impl Slot<'_> {
+    pub(crate) fn get(&self) -> u64 {
+        match self {
+            Slot::U64(v) => **v,
+            Slot::U32(v) => u64::from(**v),
+            Slot::F64Bits(v) => v.to_bits(),
+        }
+    }
+
+    /// Stores `v`; `None` when it does not fit the field.
+    pub(crate) fn set(self, v: u64) -> Option<()> {
+        match self {
+            Slot::U64(f) => *f = v,
+            Slot::U32(f) => *f = u32::try_from(v).ok()?,
+            Slot::F64Bits(f) => *f = f64::from_bits(v),
+        }
+        Some(())
+    }
+}
+
+/// Every field of a [`RunResult`] as `(record key, digested, slot)`, in
+/// the order journal and store records list them. The keys and their
+/// order are an on-disk format (`seallog::tests::on_disk_formats_are_pinned`).
+///
+/// `digested` marks the fields `report::grid_digest` folds, in this
+/// order: the model outputs the seed-era `RunResult` had. Fields added
+/// since (the host-side `events`, `retired` and `host_nanos`, and the
+/// chaos engine's link and fault counters, all zero in a clean run) are
+/// left out, so the digest goldens recorded before them stay valid.
+#[rustfmt::skip]
+pub(crate) fn record_fields(r: &mut RunResult) -> [(&'static str, bool, Slot<'_>); 59] {
+    use Slot::{F64Bits, U32, U64};
+    let s = &mut r.stats;
+    [
+        ("cycles", true, U64(&mut r.cycles)),
+        ("clock_ghz", true, U32(&mut r.clock_ghz)),
+        ("events", false, U64(&mut r.events)),
+        ("retired", false, U64(&mut r.retired)),
+        // Outside `PartialEq`, but kept so resumed sweeps still report
+        // throughput.
+        ("host_nanos", false, U64(&mut r.host_nanos)),
+        ("stats.instructions", true, U64(&mut s.instructions)),
+        ("stats.l1i.accesses", true, U64(&mut s.l1i.accesses)),
+        ("stats.l1i.hits", true, U64(&mut s.l1i.hits)),
+        ("stats.l1i.demand_misses", true, U64(&mut s.l1i.demand_misses)),
+        ("stats.l1i.prefetch_hits", true, U64(&mut s.l1i.prefetch_hits)),
+        ("stats.l1i.prefetches_issued", true, U64(&mut s.l1i.prefetches_issued)),
+        ("stats.l1i.prefetch_fills", true, U64(&mut s.l1i.prefetch_fills)),
+        ("stats.l1i.useless_prefetch_evictions", true, U64(&mut s.l1i.useless_prefetch_evictions)),
+        ("stats.l1d.accesses", true, U64(&mut s.l1d.accesses)),
+        ("stats.l1d.hits", true, U64(&mut s.l1d.hits)),
+        ("stats.l1d.demand_misses", true, U64(&mut s.l1d.demand_misses)),
+        ("stats.l1d.prefetch_hits", true, U64(&mut s.l1d.prefetch_hits)),
+        ("stats.l1d.prefetches_issued", true, U64(&mut s.l1d.prefetches_issued)),
+        ("stats.l1d.prefetch_fills", true, U64(&mut s.l1d.prefetch_fills)),
+        ("stats.l1d.useless_prefetch_evictions", true, U64(&mut s.l1d.useless_prefetch_evictions)),
+        ("stats.l2.accesses", true, U64(&mut s.l2.accesses)),
+        ("stats.l2.hits", true, U64(&mut s.l2.hits)),
+        ("stats.l2.demand_misses", true, U64(&mut s.l2.demand_misses)),
+        ("stats.l2.prefetch_hits", true, U64(&mut s.l2.prefetch_hits)),
+        ("stats.l2.prefetches_issued", true, U64(&mut s.l2.prefetches_issued)),
+        ("stats.l2.prefetch_fills", true, U64(&mut s.l2.prefetch_fills)),
+        ("stats.l2.useless_prefetch_evictions", true, U64(&mut s.l2.useless_prefetch_evictions)),
+        ("stats.l2_compressed_hits", true, U64(&mut s.l2_compressed_hits)),
+        ("stats.l2_hit_latency_sum", true, U64(&mut s.l2_hit_latency_sum)),
+        ("stats.l2_hit_latency_count", true, U64(&mut s.l2_hit_latency_count)),
+        ("stats.l2_victim_tag_hits", true, U64(&mut s.l2_victim_tag_hits)),
+        ("stats.harmful_prefetch_detections", true, U64(&mut s.harmful_prefetch_detections)),
+        ("stats.capacity_ratio_sum.bits", true, F64Bits(&mut s.capacity_ratio_sum)),
+        ("stats.capacity_ratio_samples", true, U64(&mut s.capacity_ratio_samples)),
+        ("stats.link.total_bytes", true, U64(&mut s.link.total_bytes)),
+        ("stats.link.data_bytes", true, U64(&mut s.link.data_bytes)),
+        ("stats.link.prefetch_bytes", true, U64(&mut s.link.prefetch_bytes)),
+        ("stats.link.messages", true, U64(&mut s.link.messages)),
+        ("stats.link.queue_delay_cycles", true, U64(&mut s.link.queue_delay_cycles)),
+        ("stats.link.busy_cycles", true, U64(&mut s.link.busy_cycles)),
+        ("stats.link.dropped_messages", false, U64(&mut s.link.dropped_messages)),
+        ("stats.link.corrupted_messages", false, U64(&mut s.link.corrupted_messages)),
+        ("stats.mem_reads", true, U64(&mut s.mem_reads)),
+        ("stats.mem_writes", true, U64(&mut s.mem_writes)),
+        ("stats.coherence.invalidations", true, U64(&mut s.coherence.invalidations)),
+        ("stats.coherence.recalls", true, U64(&mut s.coherence.recalls)),
+        ("stats.coherence.upgrades", true, U64(&mut s.coherence.upgrades)),
+        ("stats.coherence.inclusion_recalls", true, U64(&mut s.coherence.inclusion_recalls)),
+        ("stats.dropped_prefetches", true, U64(&mut s.dropped_prefetches)),
+        ("stats.faults.codec_faults_injected", false, U64(&mut s.faults.codec_faults_injected)),
+        ("stats.faults.codec_faults_detected", false, U64(&mut s.faults.codec_faults_detected)),
+        ("stats.faults.fault_recoveries", false, U64(&mut s.faults.fault_recoveries)),
+        ("stats.faults.lines_quarantined", false, U64(&mut s.faults.lines_quarantined)),
+        ("stats.faults.link_faults_injected", false, U64(&mut s.faults.link_faults_injected)),
+        ("stats.faults.link_retransmits", false, U64(&mut s.faults.link_retransmits)),
+        ("stats.faults.mem_stall_bursts", false, U64(&mut s.faults.mem_stall_bursts)),
+        ("stats.faults.mem_stall_cycles", false, U64(&mut s.faults.mem_stall_cycles)),
+        ("stats.faults.dir_messages_lost", false, U64(&mut s.faults.dir_messages_lost)),
+        ("stats.faults.dir_retries", false, U64(&mut s.faults.dir_retries)),
+    ]
 }
 
 #[cfg(test)]

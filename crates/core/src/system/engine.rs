@@ -343,11 +343,6 @@ impl System {
         }
     }
 
-    /// The armed fault plan, if any.
-    pub fn chaos_plan(&self) -> Option<FaultPlan> {
-        self.chaos
-    }
-
     /// Whether a trace (configured or emergency) is currently armed.
     pub fn tracing_enabled(&self) -> bool {
         self.trace.is_some()

@@ -32,7 +32,6 @@ pub struct Knobs {
     pub trace: bool,
     pub telemetry_dir: Option<PathBuf>,
     pub progress: Option<bool>,
-    pub grid_dir: Option<PathBuf>,
     pub store: Option<PathBuf>,
     pub store_max_bytes: Option<u64>,
     pub access_log: Option<PathBuf>,
@@ -88,7 +87,7 @@ const MAX_CASES: u64 = 1_000_000;
 
 /// Every knob, in the order [`help`] lists them.
 #[rustfmt::skip]
-static KNOBS: [Knob; 16] = [
+static KNOBS: [Knob; 15] = [
     knob("CMPSIM_THREADS", "all cores", "worker threads per grid sweep",
         Count { min: 1, max: 4096, set: |k, n| k.threads = Some(n as usize) }),
     // Past 24 h a deadline is a unit mistake.
@@ -107,8 +106,6 @@ static KNOBS: [Knob; 16] = [
         Path(|k, p| k.telemetry_dir = Some(p))),
     knob("CMPSIM_PROGRESS", "on a tty", "stderr heartbeat of grid sweeps",
         Flag(|k, on| k.progress = Some(on))),
-    knob("CMPSIM_GRID_DIR", "target/grid", "where sweep journals land",
-        Path(|k, p| k.grid_dir = Some(p))),
     knob("CMPSIM_STORE", "target/store", "result store directory",
         Path(|k, p| k.store = Some(p))),
     // Zero would evict every other fingerprint on each publish.
@@ -325,6 +322,7 @@ mod tests {
             ("CMPSIM_BENCH_ITERS", "3", unset()),
             ("CMPSIM_BENCH_WARMUP", "1", unset()),
             ("CMPSIM_BENCH_DIR", "target/bench", unset()),
+            ("CMPSIM_GRID_DIR", "target/grid", unset()),
             ("PATH", "/bin", unset()),
         ];
         for (name, value, want) in cases {
@@ -401,6 +399,6 @@ mod tests {
             "README's knob table differs from the declared knobs; paste `serve --help`:\n{}",
             help()
         );
-        assert_eq!(help().matches("\n  CMPSIM_").count(), 16);
+        assert_eq!(help().matches("\n  CMPSIM_").count(), 15);
     }
 }

@@ -54,15 +54,6 @@ pub struct ChannelStats {
 }
 
 impl ChannelStats {
-    /// Mean queueing delay per message, in cycles.
-    pub fn avg_queue_delay(&self) -> f64 {
-        if self.messages == 0 {
-            0.0
-        } else {
-            self.queue_delay_cycles as f64 / self.messages as f64
-        }
-    }
-
     /// Checks flit conservation: every byte counted on the link is either
     /// one message header or one data flit, so
     /// `total_bytes == messages × HEADER_BYTES + data_bytes`, and the

