@@ -18,7 +18,9 @@
 //!   served concurrently against the shared in-process store.
 //!
 //! Request fields (`workloads`/`variants` are comma-separated lists;
-//! both accept `all`, `variants` defaults to the four headline configs):
+//! both accept `all`, `variants` defaults to the four headline configs;
+//! `cores` must lie in `1..=32` and `measure` be at least 1, or the
+//! request is answered with an error line naming the field):
 //!
 //! ```text
 //! {"sweep":"warm","workloads":"apsi,mgrid","variants":"base,pf",
@@ -192,8 +194,12 @@ fn parse_request(line: &str) -> Result<Parsed, String> {
             })
             .collect::<Result<_, _>>()?,
     };
-    let cores = num_field("cores").unwrap_or(4).clamp(1, 64) as u8;
-    let mut base = SystemConfig::paper_default(cores)
+    let cores = num_field("cores").unwrap_or(4);
+    let max_cores = SystemConfig::MAX_CORES;
+    if !(1..=u64::from(max_cores)).contains(&cores) {
+        return Err(format!("\"cores\" must be in 1..={max_cores}, got {cores}"));
+    }
+    let mut base = SystemConfig::paper_default(cores as u8)
         .with_seed(num_field("seed").unwrap_or(cmpsim_bench::SEED));
     if let Some(codec) = str_field("codec") {
         base = base.with_codec(match codec {
@@ -208,6 +214,9 @@ fn parse_request(line: &str) -> Result<Parsed, String> {
         warmup: num_field("warmup").unwrap_or(default_len.warmup),
         measure: num_field("measure").unwrap_or(default_len.measure),
     };
+    if len.measure == 0 {
+        return Err("\"measure\" must be at least 1, got 0".to_string());
+    }
     let threads = num_field("threads")
         .map(|t| (t as usize).max(1))
         .unwrap_or_else(default_threads);

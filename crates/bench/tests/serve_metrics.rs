@@ -211,3 +211,47 @@ fn failed_sweep_counts_as_an_error() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Out-of-range request fields are answered with one error line each,
+/// naming the field and its range, before any cell runs: `cores` beyond
+/// the directory's 32 used to panic inside it, `cores` 0 ran one core,
+/// and `measure` 0 panicked the engine. A valid sweep on the same stream
+/// is served after them.
+#[test]
+fn out_of_range_fields_are_rejected_before_any_cell_runs() {
+    let dir = temp_dir("bad-fields");
+    let store = dir.join("store");
+    let mut child = spawn_serve(&store, None);
+    let mut stdin = child.stdin.take().expect("stdin");
+    let stdout = BufReader::new(child.stdout.take().expect("stdout"));
+
+    for (cores, measure) in [(0, 4000), (40, 4000), (2, 0)] {
+        writeln!(
+            stdin,
+            "{{\"sweep\":\"bad\",\"workloads\":\"apsi\",\"variants\":\"base\",\
+             \"cores\":{cores},\"warmup\":1000,\"measure\":{measure}}}"
+        )
+        .expect("send bad request");
+    }
+    writeln!(stdin, "{SWEEP}").expect("send sweep");
+    drop(stdin);
+    let lines: Vec<String> = stdout.lines().map(|l| l.expect("read")).collect();
+    assert!(child.wait().expect("daemon exits").success());
+
+    assert_eq!(
+        lines[..3],
+        [
+            "{\"error\":\"'cores' must be in 1..=32, got 0\"}",
+            "{\"error\":\"'cores' must be in 1..=32, got 40\"}",
+            "{\"error\":\"'measure' must be at least 1, got 0\"}",
+        ],
+        "{lines:?}"
+    );
+    let served = &lines[3..];
+    let cell = "{\"sweep\":\"t\",\"workload\":\"apsi\",\"variant\":\"base\"";
+    assert!(served.iter().any(|l| l.starts_with(cell)), "{lines:?}");
+    assert!(served.last().is_some_and(|l| l.contains("\"done\":1")), "{lines:?}");
+    assert!(!lines.iter().any(|l| l.contains("panicked")), "{lines:?}");
+
+    let _ = std::fs::remove_dir_all(&dir);
+}

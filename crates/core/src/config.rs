@@ -1,6 +1,7 @@
 //! System configuration: Table 1 defaults plus the paper's experiment
 //! grid.
 
+use cmpsim_coherence::CoreId;
 use cmpsim_fpc::CodecKind;
 use cmpsim_harness::knobs;
 use cmpsim_link::LinkBandwidth;
@@ -110,6 +111,10 @@ pub struct SystemConfig {
 }
 
 impl SystemConfig {
+    /// Most cores a system may have: the width of the directory's sharer
+    /// set.
+    pub const MAX_CORES: u8 = CoreId::MAX_CORES as u8;
+
     /// The Table 1 base system with `cores` processors: no compression,
     /// no prefetching, 20 GB/s pins.
     pub fn paper_default(cores: u8) -> Self {
@@ -199,9 +204,16 @@ impl SystemConfig {
     ///
     /// # Panics
     ///
-    /// Panics if a structural parameter is zero or inconsistent.
+    /// Panics if a structural parameter is zero or inconsistent, or if
+    /// there are more than [`SystemConfig::MAX_CORES`] cores.
     pub fn validate(&self) {
         assert!(self.cores > 0, "need at least one core");
+        assert!(
+            self.cores <= Self::MAX_CORES,
+            "{} cores: the directory tracks at most {}",
+            self.cores,
+            Self::MAX_CORES
+        );
         assert!(self.issue_width > 0, "zero issue width");
         assert!(self.rob_size > 0, "zero ROB");
         assert!(self.mshrs_per_core > 0, "zero MSHRs");
@@ -310,6 +322,17 @@ mod tests {
         assert_eq!(c.mem_latency, 400);
         assert_eq!(c.link, LinkBandwidth::GBps(20));
         assert!(!c.uses_vsc());
+    }
+
+    #[test]
+    fn validate_accepts_up_to_max_cores() {
+        SystemConfig::paper_default(SystemConfig::MAX_CORES).validate();
+    }
+
+    #[test]
+    #[should_panic(expected = "33 cores: the directory tracks at most 32")]
+    fn validate_rejects_more_cores_than_the_directory_tracks() {
+        SystemConfig::paper_default(SystemConfig::MAX_CORES + 1).validate();
     }
 
     #[test]

@@ -45,11 +45,12 @@ const BANK_OCCUPANCY: u64 = 2;
 /// many dispatched events (checks are linear in the L2, so sampling keeps
 /// the overhead to a few percent).
 const INVARIANT_SAMPLE_PERIOD: u64 = 2048;
-/// Slots in the FPC segment-size memo. Direct-mapped and capacity-capped:
-/// a colliding line evicts the previous resident and a later miss just
-/// recomputes, so long runs keep a fixed footprint instead of growing one
-/// entry per distinct block address touched (64 Ki slots cover a 4 MB L2
-/// with headroom for link-only traffic).
+/// Slots in the segment-size memo, which caches the configured codec's
+/// sizing of each line. Direct-mapped and capacity-capped: a colliding
+/// line evicts the previous resident and a later miss just recomputes,
+/// so long runs keep a fixed footprint instead of growing one entry per
+/// distinct block address touched (64 Ki slots cover a 4 MB L2 with
+/// headroom for link-only traffic).
 const SEG_MEMO_SLOTS: usize = 1 << 16;
 /// Detected-corruption strikes before a line is quarantined to
 /// uncompressed storage (chaos runs only).

@@ -26,9 +26,12 @@ echo "== codec conformance + differential oracle suites =="
 # Cross-codec law kit (round-trip, sizing agreement, zero-fill
 # monotonicity, never-expands) against FPC/BDI/ZCA, plus the oracle test
 # pinning trait-routed FPC byte-for-byte to the historical fast path
-# (including the exhaustive 2^16 zero-mask sweep).
+# (including the exhaustive 2^16 zero-mask sweep), plus BDI's unit
+# tests: the one-pass fit against the per-configuration scan it
+# replaced, and every configuration at its window edge.
 cargo test -q --offline --test codecs
 cargo test -q --offline -p cmpsim-fpc --test codec_oracle
+cargo test -q --offline -p cmpsim-fpc --lib bdi
 
 echo "== invariant-checked smoke cell (CMPSIM_CHECK=1) =="
 CMPSIM_CHECK=1 cargo run -q --release --offline --example checked_smoke
