@@ -16,6 +16,11 @@
 //! digest doubles as the proof that routing every call site through the
 //! `Codec` trait left the default model bit-identical.
 //!
+//! A fourth golden pins the variants the headline grid leaves out:
+//! cache-only and link-only compression and the two adaptive-prefetch
+//! variants, under FPC (`tests/golden/grid_digest_variants.txt`). It is
+//! the only gate on the §3 adaptive throttle.
+//!
 //! Only fields that existed in the seed `RunResult` participate, so the
 //! digest stays comparable across PRs that add host-side measurement
 //! fields (wall-clock, dispatched-event counts). The `f64` field is
@@ -41,6 +46,14 @@ const VARIANTS: [Variant; 4] = [
 
 /// Codec smoke grids only need the variants where the codec matters.
 const CODEC_VARIANTS: [Variant; 2] = [Variant::BothCompression, Variant::PrefetchCompression];
+
+/// The variants no other golden covers.
+const OTHER_VARIANTS: [Variant; 4] = [
+    Variant::CacheCompression,
+    Variant::LinkCompression,
+    Variant::AdaptivePrefetch,
+    Variant::AdaptivePrefetchCompression,
+];
 
 const GOLDEN_PATH: &str = "tests/golden/grid_digest.txt";
 
@@ -97,6 +110,10 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
     let mut ok = gate("fpc grid", &fpc_digest, GOLDEN_PATH, record);
+
+    let (digest, cells) = digest_grid(&base, &OTHER_VARIANTS, len);
+    println!("variants grid digest: {digest}  ({cells} cells)");
+    ok &= gate("variants grid", &digest, "tests/golden/grid_digest_variants.txt", record);
 
     for (codec, path) in [
         (CodecKind::Bdi, "tests/golden/grid_digest_bdi.txt"),
