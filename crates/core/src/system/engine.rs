@@ -14,16 +14,15 @@
 use crate::config::{PrefetchMode, SystemConfig};
 use crate::core_model::{Core, Wait};
 use crate::error::SimError;
-use crate::stats::{RunResult, SimStats, TelemetrySample};
+use crate::stats::{LevelStats, RunResult, SimStats, TelemetrySample};
 use crate::system::l2::{EvictedL2, L2Cache};
 use crate::system::queue::EventQueue;
 use crate::telemetry::{render_record, EngineTrace, TraceKind, TraceOptions, LIVELOCK_EVENT_WINDOW};
-use cmpsim_cache::{
-    AccessKind, BlockAddr, CompressionDecision, CompressionPolicy, SetAssocCache, SetAssocConfig,
-};
+use cmpsim_cache::{BlockAddr, CompressionDecision, CompressionPolicy, SetAssocCache, SetAssocConfig};
 use cmpsim_coherence::{
     deliver_with_retries, CoreId, DirAction, DirActions, DirEntry, L1Request, MsiState,
 };
+use cmpsim_fpc::MAX_SEGMENTS;
 use cmpsim_harness::chaos::{FaultPlan, FaultSite};
 use cmpsim_harness::fastmap::{AddrMap, MemoCache};
 use cmpsim_harness::knobs;
@@ -65,11 +64,33 @@ const MAX_DIR_ATTEMPTS: u32 = 4;
 /// steady state; the cap keeps a burst from pinning its peak.
 const WAITER_POOL_CAP: usize = 64;
 
-/// Which private L1 a request belongs to.
+/// Which private L1 a request belongs to. The discriminant indexes a
+/// core's `[L1; 2]` and is the side bit of every L1 trace record
+/// (DESIGN §10: 0 l1i, 1 l1d).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum L1Kind {
-    I,
-    D,
+    I = 0,
+    D = 1,
+}
+
+/// One private L1 with the stride prefetcher and adaptive throttle
+/// that the paper gives the instruction and data sides alike.
+#[derive(Debug)]
+struct L1 {
+    cache: SetAssocCache<MsiState>,
+    pf: StridePrefetcher,
+    th: PrefetchThrottle,
+}
+
+impl L1 {
+    fn new(cfg: SetAssocConfig) -> Self {
+        let pf = PrefetcherConfig::l1();
+        L1 {
+            cache: SetAssocCache::new(cfg),
+            pf: StridePrefetcher::new(pf),
+            th: PrefetchThrottle::new(pf.startup_prefetches),
+        }
+    }
 }
 
 /// Who initiated an L2 access.
@@ -93,15 +114,6 @@ enum Event {
     L1Fill { core: u8, l1: L1Kind, addr: BlockAddr, prefetched: bool, store: bool },
 }
 
-/// An in-flight request from one core's L1s (demand or L1 prefetch).
-/// The loads it will satisfy are tracked by the core, keyed by line.
-#[derive(Debug)]
-struct CoreMshr {
-    l1: L1Kind,
-    prefetched: bool,
-    store: bool,
-}
-
 /// A consumer of an in-flight L2 memory fetch.
 #[derive(Debug, Clone, Copy)]
 struct Waiter {
@@ -121,6 +133,13 @@ struct L2Mshr {
     prefetch_core: Option<u8>,
 }
 
+impl L2Mshr {
+    /// Whether every waiter of this fetch is a prefetch (true for none).
+    fn for_prefetch(&self) -> bool {
+        self.waiters.iter().all(|w| w.prefetched)
+    }
+}
+
 /// The assembled CMP system.
 ///
 /// Construct with [`System::new`] and execute with [`System::run`].
@@ -129,9 +148,6 @@ pub struct System {
     cfg: SystemConfig,
     values: cmpsim_trace::ValueProfile,
     seg_cache: MemoCache<u8>,
-    /// Segments an uncompressed line occupies under `cfg.codec` (the
-    /// "all 8 flits / 8 segments" constant of the FPC-only engine).
-    codec_max: u8,
     /// The configured codec's sizing function, resolved once from
     /// [`CodecKind::segments_fn`] at construction so the hot path is a
     /// direct indirect call with no per-line enum dispatch.
@@ -155,9 +171,11 @@ pub struct System {
     /// Boxed so `step_core`'s take/put-back (a borrow-splitting dance)
     /// moves one pointer, not the core's whole embedded trace generator.
     cores: Vec<Option<Box<Core>>>,
-    l1i: Vec<SetAssocCache<MsiState>>,
-    l1d: Vec<SetAssocCache<MsiState>>,
-    core_mshrs: Vec<AddrMap<CoreMshr>>,
+    /// Each core's L1s, indexed by [`L1Kind`].
+    l1s: Vec<[L1; 2]>,
+    /// Lines each core's L1s have in flight (demand or L1 prefetch).
+    /// The loads a fill satisfies are tracked by the core, keyed by line.
+    core_mshrs: Vec<AddrMap<()>>,
 
     l2: L2Cache,
     /// Evictions of the latest L2 fill, reused across fills.
@@ -170,11 +188,7 @@ pub struct System {
     link: Channel,
     mem: MemoryController,
 
-    pf_l1i: Vec<StridePrefetcher>,
-    pf_l1d: Vec<StridePrefetcher>,
     pf_l2: Vec<StridePrefetcher>,
-    th_l1i: Vec<PrefetchThrottle>,
-    th_l1d: Vec<PrefetchThrottle>,
     th_l2: PrefetchThrottle,
     pf_queue: Vec<VecDeque<BlockAddr>>,
 
@@ -241,34 +255,29 @@ impl System {
         let cores = (0..cfg.cores)
             .map(|c| Some(Box::new(Core::new(c, CoreGenerator::new(spec, c, cfg.seed)))))
             .collect();
-        // Resolve the codec once: geometry, sizing fn, and latency model
-        // become plain fields so the event loop never matches on the kind.
-        let codec_max = cfg.codec.max_segments();
+        // Resolve the codec once: the sizing fn and latency model become
+        // plain fields so the event loop never matches on the kind.
         let codec_segments = cfg.codec.segments_fn();
         let codec_image = cfg.codec.image_fn();
         let codec_decomp = cfg.codec.decompression_latency(cfg.decompression_latency);
         let mut sys = System {
             values,
             seg_cache: MemoCache::new(SEG_MEMO_SLOTS),
-            codec_max,
             codec_segments,
             codec_image,
             codec_decomp,
             now: 0,
             events: EventQueue::new(),
             cores,
-            l1i: (0..n).map(|_| SetAssocCache::new(l1_cfg)).collect(),
-            l1d: (0..n).map(|_| SetAssocCache::new(l1_cfg)).collect(),
+            l1s: (0..n).map(|_| [L1::new(l1_cfg), L1::new(l1_cfg)]).collect(),
             core_mshrs: (0..n).map(|_| AddrMap::with_capacity(cfg.mshrs_per_core * 2)).collect(),
-            l2: L2Cache::new(cfg.l2_bytes, cfg.uses_vsc(), codec_max),
+            l2: L2Cache::new(cfg.l2_bytes, cfg.uses_vsc()),
             l2_evicted: Vec::new(),
             bank_free: vec![0; cfg.l2_banks],
             l2_mshrs: AddrMap::with_capacity(64),
             waiter_pool: Vec::new(),
             link: Channel::new(cfg.link, cfg.clock_ghz),
-            mem: MemoryController::with_line_segments(cfg.mem_latency, codec_max),
-            pf_l1i: (0..n).map(|_| StridePrefetcher::new(PrefetcherConfig::l1())).collect(),
-            pf_l1d: (0..n).map(|_| StridePrefetcher::new(PrefetcherConfig::l1())).collect(),
+            mem: MemoryController::new(cfg.mem_latency),
             pf_l2: (0..n)
                 .map(|_| {
                     StridePrefetcher::new(PrefetcherConfig {
@@ -276,12 +285,6 @@ impl System {
                         ..PrefetcherConfig::l2()
                     })
                 })
-                .collect(),
-            th_l1i: (0..n)
-                .map(|_| PrefetchThrottle::new(PrefetcherConfig::l1().startup_prefetches))
-                .collect(),
-            th_l1d: (0..n)
-                .map(|_| PrefetchThrottle::new(PrefetcherConfig::l1().startup_prefetches))
                 .collect(),
             th_l2: PrefetchThrottle::new(cfg.l2_prefetch_degree),
             pf_queue: (0..n).map(|_| VecDeque::new()).collect(),
@@ -674,6 +677,31 @@ impl System {
         });
     }
 
+    /// Recovers a link transfer faulted at chaos site `site` (a dropped
+    /// request or a corrupted data response): the receiver NACKs it, and
+    /// `resend(next_attempt)` is scheduled `probe_latency << next_attempt`
+    /// cycles after the faulted transfer finished at `done`, until
+    /// [`MAX_LINK_ATTEMPTS`] deliveries have failed and the run aborts.
+    fn retransmit(
+        &mut self,
+        site: FaultSite,
+        addr: BlockAddr,
+        attempt: u8,
+        done: u64,
+        resend: impl FnOnce(u8) -> Event,
+    ) {
+        self.trace_event(TraceKind::Fault, 0, site as u16, u32::from(attempt) + 1, addr.0);
+        let next = attempt + 1;
+        if next >= MAX_LINK_ATTEMPTS {
+            self.raise_fault_budget(site.label(), addr.0, u32::from(next));
+            return;
+        }
+        self.stats.faults.link_retransmits += 1;
+        let backoff = self.cfg.probe_latency << next;
+        self.schedule(done + backoff, resend(next));
+        self.trace_event(TraceKind::Fault, 0, site as u16 | 8, u32::from(next), addr.0);
+    }
+
     /// Full structural invariant sweep (sampled from `run`): VSC segment
     /// accounting, directory owner/sharer consistency, link flit
     /// conservation, and per-core MSHR budget accounting.
@@ -698,10 +726,10 @@ impl System {
             ));
         }
         let seg = (self.codec_segments)(&probe);
-        if seg == 0 || seg > self.codec_max {
+        if seg == 0 || seg > MAX_SEGMENTS {
             return Err(at(
                 "codec",
-                format!("sized probe line at {seg} segments, outside 1..={}", self.codec_max),
+                format!("sized probe line at {seg} segments, outside 1..={MAX_SEGMENTS}"),
             ));
         }
         for (i, slot) in self.cores.iter().enumerate() {
@@ -789,7 +817,7 @@ impl System {
         if self.cfg.link_compression {
             self.segments_of(addr)
         } else {
-            self.codec_max
+            MAX_SEGMENTS
         }
     }
 
@@ -798,7 +826,7 @@ impl System {
     /// uncompressed storage regardless of policy.
     fn store_segments(&mut self, addr: BlockAddr) -> u8 {
         if self.chaos.is_some() && self.quarantined_lines.contains(&addr.0) {
-            return self.codec_max;
+            return MAX_SEGMENTS;
         }
         if self.cfg.cache_compression {
             let compress = !self.cfg.adaptive_compression
@@ -807,21 +835,31 @@ impl System {
                 return self.segments_of(addr);
             }
         }
-        self.codec_max
+        MAX_SEGMENTS
     }
 
     fn adaptive_pf(&self) -> bool {
         self.cfg.prefetch == PrefetchMode::Adaptive
     }
 
-    fn l1_degree(&self, kind: L1Kind, core: usize) -> u8 {
+    /// Core `c`'s L1 on side `kind`.
+    fn l1(&mut self, c: usize, kind: L1Kind) -> &mut L1 {
+        &mut self.l1s[c][kind as usize]
+    }
+
+    /// The counters of side `kind`, summed over all cores.
+    fn l1_stats(&mut self, kind: L1Kind) -> &mut LevelStats {
+        match kind {
+            L1Kind::I => &mut self.stats.l1i,
+            L1Kind::D => &mut self.stats.l1d,
+        }
+    }
+
+    fn l1_degree(&self, c: usize, kind: L1Kind) -> u8 {
         match self.cfg.prefetch {
             PrefetchMode::Off => 0,
             PrefetchMode::Stride => PrefetcherConfig::l1().startup_prefetches,
-            PrefetchMode::Adaptive => match kind {
-                L1Kind::I => self.th_l1i[core].degree(),
-                L1Kind::D => self.th_l1d[core].degree(),
-            },
+            PrefetchMode::Adaptive => self.l1s[c][kind as usize].th.degree(),
         }
     }
 
@@ -889,13 +927,7 @@ impl System {
             }
             self.check_warmup(c, &mut core);
 
-            let keep_going = match ev.event {
-                TraceEvent::IFetch(line) => self.access_l1i(c, &mut core, line),
-                TraceEvent::Data { kind, line, dependent } => {
-                    self.access_l1d(c, &mut core, kind, line, dependent)
-                }
-            };
-            if !keep_going {
+            if !self.access_l1(c, &mut core, ev.event) {
                 break;
             }
         }
@@ -952,15 +984,11 @@ impl System {
         self.link.reset_stats();
         self.mem.reset_stats();
         self.l2.reset_stats();
-        for l1 in self.l1i.iter_mut().chain(self.l1d.iter_mut()) {
-            l1.reset_stats();
+        for l1 in self.l1s.iter_mut().flatten() {
+            l1.cache.reset_stats();
+            l1.pf.reset_stats();
         }
-        for pf in self
-            .pf_l1i
-            .iter_mut()
-            .chain(self.pf_l1d.iter_mut())
-            .chain(self.pf_l2.iter_mut())
-        {
+        for pf in &mut self.pf_l2 {
             pf.reset_stats();
         }
         self.l2_demand_accesses = 0;
@@ -975,90 +1003,31 @@ impl System {
         }
     }
 
-    /// Handles an instruction fetch. Returns false when the core stalls.
-    fn access_l1i(&mut self, c: usize, core: &mut Core, line: BlockAddr) -> bool {
-        if let Some((_, first)) = self.l1i[c].lookup(line) {
-            self.stats.l1i.accesses += 1;
-            self.stats.l1i.hits += 1;
-            if first {
-                self.stats.l1i.prefetch_hits += 1;
-                if self.adaptive_pf() && self.th_l1i[c].record_useful() {
-                    let deg = u32::from(self.th_l1i[c].degree());
-                    self.trace_at(core.cycle, TraceKind::AdaptiveMove, c as u8, 0b100, deg, line.0);
-                }
+    /// Handles one L1 access. An instruction fetch is a load that the
+    /// in-order frontend always stalls on; a data access stalls the core
+    /// only when it is a dependent load. Returns false when the core
+    /// stalls.
+    fn access_l1(&mut self, c: usize, core: &mut Core, event: TraceEvent) -> bool {
+        // `tracked`: the access holds a ROB slot until its fill.
+        let (kind, line, store, wait, tracked, stalls) = match event {
+            TraceEvent::IFetch(line) => (L1Kind::I, line, false, Wait::IFetch(line), false, true),
+            TraceEvent::Data { kind, line, dependent } => {
+                let load = !kind.is_write();
+                (L1Kind::D, line, !load, Wait::Load(line), load, load && dependent)
             }
-            let deg = self.l1_degree(L1Kind::I, c);
-            if deg > 0 {
-                if let Some(next) = self.pf_l1i[c].on_access(line, deg) {
-                    self.issue_l1_prefetch(c, core, L1Kind::I, next, core.cycle);
-                }
-            }
-            return true;
-        }
-        // Miss: merged or new, the frontend stalls either way.
-        if let Some(m) = self.core_mshrs[c].get_mut(line.0) {
-            self.stats.l1i.accesses += 1;
-            self.stats.l1i.demand_misses += 1;
-            m.prefetched = false; // partial hit: demand takes over
-            self.trace_at(core.cycle, TraceKind::L1Miss, c as u8, 0b100, 0, line.0);
-            core.waiting = Wait::IFetch(line);
-            return false;
-        }
-        if core.outstanding >= self.cfg.mshrs_per_core {
-            core.pending = Some(cmpsim_trace::TimedEvent {
-                gap: 0,
-                event: TraceEvent::IFetch(line),
-            });
-            core.waiting = Wait::Mshr;
-            return false;
-        }
-        self.stats.l1i.accesses += 1;
-        self.stats.l1i.demand_misses += 1;
-        self.trace_at(core.cycle, TraceKind::L1Miss, c as u8, 0, 0, line.0);
-        let deg = self.l1_degree(L1Kind::I, c);
-        let burst = if deg > 0 { self.pf_l1i[c].on_miss(line, deg) } else { Burst::default() };
-        self.core_mshrs[c]
-            .insert(line.0, CoreMshr { l1: L1Kind::I, prefetched: false, store: false });
-        core.outstanding += 1;
-        let at = core.cycle + self.cfg.l1_latency + self.cfg.l1_to_l2_latency;
-        self.schedule(
-            at,
-            Event::L2Access {
-                core: c as u8,
-                addr: line,
-                store: false,
-                upgrade: false,
-                origin: Origin::Demand,
-                l1: L1Kind::I,
-            },
-        );
-        for p in burst {
-            self.issue_l1_prefetch(c, core, L1Kind::I, p, core.cycle);
-        }
-        core.waiting = Wait::IFetch(line);
-        false
-    }
-
-    /// Handles a data access. Returns false when the core stalls.
-    fn access_l1d(
-        &mut self,
-        c: usize,
-        core: &mut Core,
-        kind: AccessKind,
-        line: BlockAddr,
-        dependent: bool,
-    ) -> bool {
-        let store = kind.is_write();
-        if let Some((state, first)) = self.l1d[c].lookup(line) {
+        };
+        // L1Miss flags (DESIGN §10); a merge adds bit 2.
+        let flags = kind as u16 | (u16::from(store) << 1);
+        if let Some((state, first)) = self.l1(c, kind).cache.lookup(line) {
             let needs_upgrade = store && *state == MsiState::Shared;
-            self.stats.l1d.accesses += 1;
-            self.stats.l1d.hits += 1;
-            if first {
-                self.stats.l1d.prefetch_hits += 1;
-                if self.adaptive_pf() && self.th_l1d[c].record_useful() {
-                    let deg = u32::from(self.th_l1d[c].degree());
-                    self.trace_at(core.cycle, TraceKind::AdaptiveMove, c as u8, 0b101, deg, line.0);
-                }
+            let s = self.l1_stats(kind);
+            s.accesses += 1;
+            s.hits += 1;
+            s.prefetch_hits += u64::from(first);
+            if first && self.adaptive_pf() && self.l1(c, kind).th.record_useful() {
+                let deg = u32::from(self.l1(c, kind).th.degree());
+                let up = 0b100 | kind as u16;
+                self.trace_at(core.cycle, TraceKind::AdaptiveMove, c as u8, up, deg, line.0);
             }
             if needs_upgrade
                 && !self.core_mshrs[c].contains_key(line.0)
@@ -1066,8 +1035,7 @@ impl System {
             {
                 self.stats.coherence.upgrades += 1;
                 self.trace_at(core.cycle, TraceKind::Coherence, c as u8, 3, 0, line.0);
-                self.core_mshrs[c]
-                    .insert(line.0, CoreMshr { l1: L1Kind::D, prefetched: false, store: true });
+                self.core_mshrs[c].insert(line.0, ());
                 core.outstanding += 1;
                 let at = core.cycle + self.cfg.l1_latency + self.cfg.l1_to_l2_latency;
                 self.schedule(
@@ -1078,14 +1046,14 @@ impl System {
                         store: true,
                         upgrade: true,
                         origin: Origin::Demand,
-                        l1: L1Kind::D,
+                        l1: kind,
                     },
                 );
             }
-            let deg = self.l1_degree(L1Kind::D, c);
+            let deg = self.l1_degree(c, kind);
             if deg > 0 {
-                if let Some(next) = self.pf_l1d[c].on_access(line, deg) {
-                    self.issue_l1_prefetch(c, core, L1Kind::D, next, core.cycle);
+                if let Some(next) = self.l1(c, kind).pf.on_access(line, deg) {
+                    self.issue_l1_prefetch(c, core, kind, next, core.cycle);
                 }
             }
             return true;
@@ -1093,97 +1061,65 @@ impl System {
 
         // Miss. Merge into an in-flight request when possible.
         let seq = core.insts;
-        if let Some(m) = self.core_mshrs[c].get_mut(line.0) {
-            self.stats.l1d.accesses += 1;
-            self.stats.l1d.demand_misses += 1;
-            m.prefetched = false;
-            if store {
-                m.store = true;
-            } else {
+        if self.core_mshrs[c].contains_key(line.0) {
+            let s = self.l1_stats(kind);
+            s.accesses += 1;
+            s.demand_misses += 1;
+            if tracked {
                 core.track_load(seq, line);
             }
-            self.trace_at(
-                core.cycle,
-                TraceKind::L1Miss,
-                c as u8,
-                0b101 | (u16::from(store) << 1),
-                0,
-                line.0,
-            );
-            if dependent && !store {
-                core.waiting = Wait::Load(line);
+            self.trace_at(core.cycle, TraceKind::L1Miss, c as u8, 0b100 | flags, 0, line.0);
+        } else {
+            if core.outstanding >= self.cfg.mshrs_per_core {
+                core.pending = Some(cmpsim_trace::TimedEvent { gap: 0, event });
+                core.waiting = Wait::Mshr;
                 return false;
             }
-            return true;
+            let s = self.l1_stats(kind);
+            s.accesses += 1;
+            s.demand_misses += 1;
+            self.trace_at(core.cycle, TraceKind::L1Miss, c as u8, flags, 0, line.0);
+            let deg = self.l1_degree(c, kind);
+            let burst =
+                if deg > 0 { self.l1(c, kind).pf.on_miss(line, deg) } else { Burst::default() };
+            if tracked {
+                core.track_load(seq, line);
+            }
+            self.core_mshrs[c].insert(line.0, ());
+            core.outstanding += 1;
+            let at = core.cycle + self.cfg.l1_latency + self.cfg.l1_to_l2_latency;
+            self.schedule(
+                at,
+                Event::L2Access {
+                    core: c as u8,
+                    addr: line,
+                    store,
+                    upgrade: false,
+                    origin: Origin::Demand,
+                    l1: kind,
+                },
+            );
+            for p in burst {
+                self.issue_l1_prefetch(c, core, kind, p, core.cycle);
+            }
         }
-        if core.outstanding >= self.cfg.mshrs_per_core {
-            core.pending = Some(cmpsim_trace::TimedEvent {
-                gap: 0,
-                event: TraceEvent::Data { kind, line, dependent },
-            });
-            core.waiting = Wait::Mshr;
-            return false;
+        if stalls {
+            core.waiting = wait;
         }
-        self.stats.l1d.accesses += 1;
-        self.stats.l1d.demand_misses += 1;
-        self.trace_at(core.cycle, TraceKind::L1Miss, c as u8, 1 | (u16::from(store) << 1), 0, line.0);
-        let deg = self.l1_degree(L1Kind::D, c);
-        let burst = if deg > 0 { self.pf_l1d[c].on_miss(line, deg) } else { Burst::default() };
-        if !store {
-            core.track_load(seq, line);
-        }
-        self.core_mshrs[c].insert(line.0, CoreMshr { l1: L1Kind::D, prefetched: false, store });
-        core.outstanding += 1;
-        let at = core.cycle + self.cfg.l1_latency + self.cfg.l1_to_l2_latency;
-        self.schedule(
-            at,
-            Event::L2Access {
-                core: c as u8,
-                addr: line,
-                store,
-                upgrade: false,
-                origin: Origin::Demand,
-                l1: L1Kind::D,
-            },
-        );
-        for p in burst {
-            self.issue_l1_prefetch(c, core, L1Kind::D, p, core.cycle);
-        }
-        if dependent && !store {
-            core.waiting = Wait::Load(line);
-            return false;
-        }
-        true
+        !stalls
     }
 
     fn issue_l1_prefetch(&mut self, c: usize, core: &mut Core, kind: L1Kind, addr: BlockAddr, at: u64) {
-        let present = match kind {
-            L1Kind::I => self.l1i[c].contains(addr),
-            L1Kind::D => self.l1d[c].contains(addr),
-        };
-        if present || self.core_mshrs[c].contains_key(addr.0) {
+        if self.l1(c, kind).cache.contains(addr) || self.core_mshrs[c].contains_key(addr.0) {
             return;
         }
         if core.outstanding >= self.cfg.mshrs_per_core {
             self.stats.dropped_prefetches += 1;
             return;
         }
-        match kind {
-            L1Kind::I => self.stats.l1i.prefetches_issued += 1,
-            L1Kind::D => self.stats.l1d.prefetches_issued += 1,
-        }
-        self.trace_at(
-            at,
-            TraceKind::PrefetchIssue,
-            c as u8,
-            match kind {
-                L1Kind::I => 0,
-                L1Kind::D => 1,
-            },
-            0,
-            addr.0,
-        );
-        self.core_mshrs[c].insert(addr.0, CoreMshr { l1: kind, prefetched: true, store: false });
+        self.l1_stats(kind).prefetches_issued += 1;
+        self.trace_at(at, TraceKind::PrefetchIssue, c as u8, kind as u16, 0, addr.0);
+        self.core_mshrs[c].insert(addr.0, ());
         core.outstanding += 1;
         self.schedule(
             at + self.cfg.l1_to_l2_latency,
@@ -1283,12 +1219,7 @@ impl System {
             } else {
                 L1Request::GetS
             };
-            let actions = match self.l2.meta_mut(addr) {
-                Some(dir) => dir.handle(CoreId(c as u8), req),
-                None => DirActions::default(),
-            };
-            let probed = !actions.is_empty();
-            let lost = self.apply_probes(addr, actions, false);
+            let (probed, lost) = self.dir_request(c as u8, addr, req);
             let resp = tag_done
                 + decomp
                 + if probed { self.cfg.probe_latency } else { 0 }
@@ -1366,11 +1297,7 @@ impl System {
     }
 
     fn handle_link_request(&mut self, addr: BlockAddr, attempt: u8) {
-        let for_prefetch = self
-            .l2_mshrs
-            .get(addr.0)
-            .map(|m| m.waiters.iter().all(|w| w.prefetched))
-            .unwrap_or(true);
+        let for_prefetch = self.l2_mshrs.get(addr.0).is_none_or(L2Mshr::for_prefetch);
         let msg = Message::read_request(addr, for_prefetch);
         if let Some(plan) = self.chaos {
             // Link-drop site: the request's flits burn bandwidth but the
@@ -1380,28 +1307,9 @@ impl System {
             if plan.should_inject(FaultSite::LinkRequest, self.now, key) {
                 let tr = self.link.send_dropped(self.now, &msg);
                 self.stats.faults.link_faults_injected += 1;
-                self.trace_event(
-                    TraceKind::Fault,
-                    0,
-                    FaultSite::LinkRequest as u16,
-                    u32::from(attempt) + 1,
-                    addr.0,
-                );
-                let next = attempt + 1;
-                if next >= MAX_LINK_ATTEMPTS {
-                    self.raise_fault_budget("link-request", addr.0, u32::from(next));
-                    return;
-                }
-                self.stats.faults.link_retransmits += 1;
-                let backoff = self.cfg.probe_latency << next;
-                self.schedule(tr.done + backoff, Event::LinkRequest { addr, attempt: next });
-                self.trace_event(
-                    TraceKind::Fault,
-                    0,
-                    FaultSite::LinkRequest as u16 | 8,
-                    u32::from(next),
-                    addr.0,
-                );
+                self.retransmit(FaultSite::LinkRequest, addr, attempt, tr.done, |attempt| {
+                    Event::LinkRequest { addr, attempt }
+                });
                 return;
             }
         }
@@ -1425,18 +1333,10 @@ impl System {
 
     fn handle_mem_response(&mut self, addr: BlockAddr, attempt: u8) {
         let link_compression = self.cfg.link_compression;
-        let fresh = if link_compression {
-            self.segments_of(addr)
-        } else {
-            self.codec_max
-        };
+        let fresh = if link_compression { self.segments_of(addr) } else { MAX_SEGMENTS };
         let (_, form) = self.mem.read(addr, self.now, || fresh);
-        let segments = if link_compression { form.segments } else { self.codec_max };
-        let for_prefetch = self
-            .l2_mshrs
-            .get(addr.0)
-            .map(|m| m.waiters.iter().all(|w| w.prefetched))
-            .unwrap_or(true);
+        let segments = if link_compression { form.segments } else { MAX_SEGMENTS };
+        let for_prefetch = self.l2_mshrs.get(addr.0).is_none_or(L2Mshr::for_prefetch);
         let msg = Message::data_response(addr, segments, for_prefetch);
         if let Some(plan) = self.chaos {
             // Data-corruption site: the response crosses the link (flits
@@ -1466,28 +1366,9 @@ impl System {
                     self.schedule(tr.done, Event::L2Fill { addr });
                     return;
                 }
-                self.trace_event(
-                    TraceKind::Fault,
-                    0,
-                    FaultSite::LinkData as u16,
-                    u32::from(attempt) + 1,
-                    addr.0,
-                );
-                let next = attempt + 1;
-                if next >= MAX_LINK_ATTEMPTS {
-                    self.raise_fault_budget("link-data", addr.0, u32::from(next));
-                    return;
-                }
-                self.stats.faults.link_retransmits += 1;
-                let backoff = self.cfg.probe_latency << next;
-                self.schedule(tr.done + backoff, Event::MemResponse { addr, attempt: next });
-                self.trace_event(
-                    TraceKind::Fault,
-                    0,
-                    FaultSite::LinkData as u16 | 8,
-                    u32::from(next),
-                    addr.0,
-                );
+                self.retransmit(FaultSite::LinkData, addr, attempt, tr.done, |attempt| {
+                    Event::MemResponse { addr, attempt }
+                });
                 return;
             }
         }
@@ -1508,7 +1389,7 @@ impl System {
         if !plan.should_inject(FaultSite::CodecLine, self.now, addr.0) {
             return;
         }
-        let compressed = self.l2.segments_of(addr).is_some_and(|s| s < self.codec_max);
+        let compressed = self.l2.segments_of(addr).is_some_and(|s| s < MAX_SEGMENTS);
         if !compressed {
             return;
         }
@@ -1554,8 +1435,7 @@ impl System {
 
     fn handle_l2_fill(&mut self, addr: BlockAddr) {
         let Some(mshr) = self.l2_mshrs.remove(addr.0) else { return };
-        let prefetched_fill =
-            mshr.waiters.is_empty() || mshr.waiters.iter().all(|w| w.prefetched);
+        let prefetched_fill = mshr.for_prefetch();
         let seg_store = self.store_segments(addr);
         let mut evicted = std::mem::take(&mut self.l2_evicted);
         self.l2.fill(addr, seg_store, prefetched_fill, DirEntry::new(), &mut evicted);
@@ -1569,15 +1449,11 @@ impl System {
         self.l2_evicted = evicted;
 
         // Service the waiters in arrival order.
-        let stored_compressed = seg_store < self.codec_max;
+        let stored_compressed = seg_store < MAX_SEGMENTS;
         let decomp = if stored_compressed { self.codec_decomp } else { 0 };
         for w in &mshr.waiters {
             let req = if w.store { L1Request::GetX } else { L1Request::GetS };
-            let actions = match self.l2.meta_mut(addr) {
-                Some(dir) => dir.handle(CoreId(w.core), req),
-                None => DirActions::default(),
-            };
-            let lost = self.apply_probes(addr, actions, false);
+            let (_, lost) = self.dir_request(w.core, addr, req);
             self.schedule(
                 self.now + self.cfg.l1_to_l2_latency + decomp + lost * self.cfg.probe_latency,
                 Event::L1Fill {
@@ -1623,14 +1499,30 @@ impl System {
             }
         }
         if e.dir.is_dirty() {
-            let seg = self.link_segments(e.addr);
-            let msg = Message::writeback(e.addr, seg);
-            self.link.send(self.now, &msg);
-            self.trace_event(TraceKind::LinkFlit, 0, 2, msg.size_bytes() as u32, e.addr.0);
-            self.mem.write(e.addr, seg);
-            self.stats.mem_writes += 1;
-            self.trace_event(TraceKind::MemWrite, 0, 0, u32::from(seg), e.addr.0);
+            self.write_back(e.addr);
         }
+    }
+
+    /// Writes a dirty line back to memory over the link.
+    fn write_back(&mut self, addr: BlockAddr) {
+        let seg = self.link_segments(addr);
+        let msg = Message::writeback(addr, seg);
+        self.link.send(self.now, &msg);
+        self.trace_event(TraceKind::LinkFlit, 0, 2, msg.size_bytes() as u32, addr.0);
+        self.mem.write(addr, seg);
+        self.stats.mem_writes += 1;
+        self.trace_event(TraceKind::MemWrite, 0, 0, u32::from(seg), addr.0);
+    }
+
+    /// Sends core `core`'s request for `addr` to the line's directory
+    /// entry and applies the probes it answers with. Returns whether any
+    /// probe went out and how many were lost (see [`Self::apply_probes`]).
+    fn dir_request(&mut self, core: u8, addr: BlockAddr, req: L1Request) -> (bool, u64) {
+        let actions = match self.l2.meta_mut(addr) {
+            Some(dir) => dir.handle(CoreId(core), req),
+            None => DirActions::default(),
+        };
+        (!actions.is_empty(), self.apply_probes(addr, actions, false))
     }
 
     /// Applies coherence probes to the target L1s structurally. Probe
@@ -1698,8 +1590,8 @@ impl System {
             }
             match a {
                 DirAction::Invalidate(_) | DirAction::RecallInvalidate(_) => {
-                    let hit = self.l1d[t].invalidate(addr).is_some()
-                        || self.l1i[t].invalidate(addr).is_some();
+                    let hit = self.l1(t, L1Kind::D).cache.invalidate(addr).is_some()
+                        || self.l1(t, L1Kind::I).cache.invalidate(addr).is_some();
                     if hit && !inclusion {
                         match a {
                             DirAction::Invalidate(_) => self.stats.coherence.invalidations += 1,
@@ -1708,7 +1600,7 @@ impl System {
                     }
                 }
                 DirAction::RecallDowngrade(_) => {
-                    if let Some(state) = self.l1d[t].peek_mut(addr) {
+                    if let Some(state) = self.l1(t, L1Kind::D).cache.peek_mut(addr) {
                         *state = MsiState::Shared;
                     }
                     if !inclusion {
@@ -1769,7 +1661,7 @@ impl System {
 
     // ---------------------------------------------------------- L1 fills
 
-    fn handle_l1_fill(&mut self, c: usize, l1: L1Kind, addr: BlockAddr, prefetched: bool, store: bool) {
+    fn handle_l1_fill(&mut self, c: usize, kind: L1Kind, addr: BlockAddr, prefetched: bool, store: bool) {
         // Re-validate against the directory: a probe or inclusion recall
         // may have retargeted this line while the fill was in flight (a
         // real protocol would NACK/replay; we resolve it at fill time).
@@ -1800,42 +1692,15 @@ impl System {
             return;
         };
         if prefetched {
-            let flags = match l1 {
-                L1Kind::I => 0,
-                L1Kind::D => 1,
-            };
-            self.trace_event(TraceKind::PrefetchFill, c as u8, flags, 0, addr.0);
+            self.trace_event(TraceKind::PrefetchFill, c as u8, kind as u16, 0, addr.0);
         }
-        let victim = match l1 {
-            L1Kind::I => {
-                self.stats.l1i.prefetch_fills += u64::from(prefetched);
-                self.l1i[c].fill(addr, prefetched, state)
-            }
-            L1Kind::D => {
-                self.stats.l1d.prefetch_fills += u64::from(prefetched);
-                self.l1d[c].fill(addr, prefetched, state)
-            }
-        };
-        if let Some(v) = victim {
+        self.l1_stats(kind).prefetch_fills += u64::from(prefetched);
+        if let Some(v) = self.l1(c, kind).cache.fill(addr, prefetched, state) {
             if v.was_unused_prefetch {
-                match l1 {
-                    L1Kind::I => self.stats.l1i.useless_prefetch_evictions += 1,
-                    L1Kind::D => self.stats.l1d.useless_prefetch_evictions += 1,
-                }
-                if self.adaptive_pf() {
-                    let (moved, flags, deg) = match l1 {
-                        L1Kind::I => {
-                            let m = self.th_l1i[c].record_bad();
-                            (m, 0b000, u32::from(self.th_l1i[c].degree()))
-                        }
-                        L1Kind::D => {
-                            let m = self.th_l1d[c].record_bad();
-                            (m, 0b001, u32::from(self.th_l1d[c].degree()))
-                        }
-                    };
-                    if moved {
-                        self.trace_event(TraceKind::AdaptiveMove, c as u8, flags, deg, v.addr.0);
-                    }
+                self.l1_stats(kind).useless_prefetch_evictions += 1;
+                if self.adaptive_pf() && self.l1(c, kind).th.record_bad() {
+                    let deg = u32::from(self.l1(c, kind).th.degree());
+                    self.trace_event(TraceKind::AdaptiveMove, c as u8, kind as u16, deg, v.addr.0);
                 }
             }
             let req = if v.meta == MsiState::Modified { L1Request::PutM } else { L1Request::PutS };
@@ -1843,17 +1708,11 @@ impl System {
                 Some(dir) => {
                     let _ = dir.handle(CoreId(c as u8), req);
                 }
+                // Inclusion race: the L2 already dropped the line. A dirty
+                // victim goes straight to memory.
                 None => {
-                    // Inclusion race: the L2 already dropped the line. A
-                    // dirty victim goes straight to memory.
                     if v.meta == MsiState::Modified {
-                        let seg = self.link_segments(v.addr);
-                        let msg = Message::writeback(v.addr, seg);
-                        self.link.send(self.now, &msg);
-                        self.trace_event(TraceKind::LinkFlit, 0, 2, msg.size_bytes() as u32, v.addr.0);
-                        self.mem.write(v.addr, seg);
-                        self.stats.mem_writes += 1;
-                        self.trace_event(TraceKind::MemWrite, 0, 0, u32::from(seg), v.addr.0);
+                        self.write_back(v.addr);
                     }
                 }
             }
@@ -1866,13 +1725,9 @@ impl System {
     /// its stall condition is satisfied.
     fn complete_core_mshr(&mut self, c: usize, addr: BlockAddr) {
         let mut wake = false;
-        if let Some(m) = self.core_mshrs[c].remove(addr.0) {
+        if self.core_mshrs[c].remove(addr.0).is_some() {
             if let Some(core) = self.cores[c].as_mut() {
                 debug_assert_eq!(usize::from(core.id()), c, "MSHR/core mismatch");
-                debug_assert!(
-                    matches!(m.l1, L1Kind::I | L1Kind::D),
-                    "MSHR belongs to an L1"
-                );
                 core.outstanding = core.outstanding.saturating_sub(1);
                 let completed = core.complete_loads(addr);
                 wake = match core.waiting {

@@ -44,12 +44,10 @@ pub enum L2Cache {
 }
 
 impl L2Cache {
-    /// Builds the right organization for `capacity` bytes, with the VSC's
-    /// segment geometry sized for a codec whose uncompressed line takes
-    /// `line_segments` segments (8 for every shipped codec).
-    pub fn new(capacity: usize, use_vsc: bool, line_segments: u8) -> Self {
+    /// Builds the right organization for `capacity` bytes.
+    pub fn new(capacity: usize, use_vsc: bool) -> Self {
         if use_vsc {
-            L2Cache::Vsc(VscCache::new(VscConfig::compressed_l2_for(capacity, line_segments)))
+            L2Cache::Vsc(VscCache::new(VscConfig::compressed_l2(capacity)))
         } else {
             L2Cache::Classic(SetAssocCache::new(SetAssocConfig::with_capacity(capacity, 8)))
         }
@@ -233,7 +231,7 @@ mod tests {
 
     #[test]
     fn classic_is_eight_way_four_mb() {
-        let l2 = L2Cache::new(4 * 1024 * 1024, false, 8);
+        let l2 = L2Cache::new(4 * 1024 * 1024, false);
         assert!(!l2.is_vsc());
         match l2 {
             L2Cache::Classic(c) => {
@@ -246,7 +244,7 @@ mod tests {
 
     #[test]
     fn vsc_geometry() {
-        let l2 = L2Cache::new(4 * 1024 * 1024, true, 8);
+        let l2 = L2Cache::new(4 * 1024 * 1024, true);
         assert!(l2.is_vsc());
         match l2 {
             L2Cache::Vsc(c) => {
@@ -260,7 +258,7 @@ mod tests {
     #[test]
     fn unified_fill_and_lookup() {
         for use_vsc in [false, true] {
-            let mut l2 = L2Cache::new(64 * 1024, use_vsc, 8);
+            let mut l2 = L2Cache::new(64 * 1024, use_vsc);
             let a = BlockAddr(42);
             assert!(!l2.lookup(a).hit);
             l2.fill(a, 3, true, DirEntry::new(), &mut Vec::new());
@@ -275,7 +273,7 @@ mod tests {
     #[test]
     fn invalidate_drops_line_and_returns_directory() {
         for use_vsc in [false, true] {
-            let mut l2 = L2Cache::new(64 * 1024, use_vsc, 8);
+            let mut l2 = L2Cache::new(64 * 1024, use_vsc);
             let a = BlockAddr(7);
             assert!(l2.invalidate(a).is_none(), "nothing resident yet");
             l2.fill(a, 2, false, DirEntry::new(), &mut Vec::new());
@@ -290,7 +288,7 @@ mod tests {
     #[test]
     fn valid_lines_counts_both_organizations() {
         for use_vsc in [false, true] {
-            let mut l2 = L2Cache::new(64 * 1024, use_vsc, 8);
+            let mut l2 = L2Cache::new(64 * 1024, use_vsc);
             assert_eq!(l2.valid_lines(), 0);
             for i in 0..5u64 {
                 l2.fill(BlockAddr(i), 4, false, DirEntry::new(), &mut Vec::new());
@@ -301,7 +299,7 @@ mod tests {
 
     #[test]
     fn victim_tags_only_on_vsc() {
-        let mut l2 = L2Cache::new(64 * 1024, true, 8);
+        let mut l2 = L2Cache::new(64 * 1024, true);
         // Fill one set beyond capacity to create a victim tag. With 64 KB
         // VSC: 256 sets; same-set lines are 256 apart.
         for i in 0..5u64 {
