@@ -28,34 +28,21 @@ pub struct VscConfig {
     pub tags_per_set: usize,
     /// Data segments per set (32 in the paper: 4 lines × 8 segments).
     pub segments_per_set: u32,
-    /// Segments an *uncompressed* line occupies under the configured
-    /// codec (8 for every shipped codec's 64-byte/8-byte-segment frame).
-    /// Fill sizes and the invariant checker validate against this, not a
-    /// hard-coded FPC constant.
+    /// Segments an *uncompressed* line occupies (8 in the shared
+    /// 64-byte/8-byte-segment frame). Fill sizes and the invariant
+    /// checker validate against this.
     pub line_segments: u8,
 }
 
 impl VscConfig {
     /// The paper's compressed-L2 geometry for a given data capacity:
-    /// 8 tags per set, data space for 4 uncompressed lines per set, FPC's
-    /// 8-segment line frame.
+    /// 8 tags per set, data space for 4 uncompressed lines per set, the
+    /// shared 8-segment line frame.
     ///
     /// # Panics
     ///
     /// Panics if `capacity_bytes` does not yield a power-of-two set count.
     pub fn compressed_l2(capacity_bytes: usize) -> Self {
-        Self::compressed_l2_for(capacity_bytes, MAX_SEGMENTS)
-    }
-
-    /// [`compressed_l2`](Self::compressed_l2) generalized to a codec
-    /// whose uncompressed line occupies `line_segments` segments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_segments` is zero or the set count is not a power
-    /// of two.
-    pub fn compressed_l2_for(capacity_bytes: usize, line_segments: u8) -> Self {
-        assert!(line_segments > 0, "a line needs at least one segment");
         let lines = capacity_bytes / LINE_BYTES;
         let data_lines_per_set = 4;
         let sets = lines / data_lines_per_set;
@@ -63,8 +50,8 @@ impl VscConfig {
         VscConfig {
             sets,
             tags_per_set: 8,
-            segments_per_set: (data_lines_per_set * usize::from(line_segments)) as u32,
-            line_segments,
+            segments_per_set: (data_lines_per_set * usize::from(MAX_SEGMENTS)) as u32,
+            line_segments: MAX_SEGMENTS,
         }
     }
 

@@ -170,6 +170,7 @@ impl Journal {
     /// # Errors
     ///
     /// Propagates filesystem errors.
+    #[cfg(test)]
     pub fn load_or_reset(&self) -> Result<Vec<JournalEntry>, LogError> {
         Ok(self.load()?.entries)
     }

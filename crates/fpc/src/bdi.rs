@@ -340,12 +340,6 @@ impl Codec for Bdi {
         // in a single cycle).
         1
     }
-
-    fn compression_latency(_base: u64) -> u64 {
-        // All configurations are evaluated in parallel in hardware; two
-        // cycles to pick the winner and pack.
-        2
-    }
 }
 
 #[cfg(test)]

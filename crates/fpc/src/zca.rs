@@ -94,11 +94,6 @@ impl Codec for Zca {
         // Materializing zeros: the fill mux, no pipeline.
         0
     }
-
-    fn compression_latency(_base: u64) -> u64 {
-        // A wide NOR over the line.
-        1
-    }
 }
 
 #[cfg(test)]

@@ -34,16 +34,9 @@ impl StoredForm {
     }
 
     /// Whether the ECC bit marks the line compressed (fewer segments than
-    /// the shared 8-segment frame; see [`StoredForm::is_compressed_in`]
-    /// for a codec-specific geometry).
+    /// the shared 8-segment frame).
     pub fn is_compressed(&self) -> bool {
-        self.is_compressed_in(MAX_SEGMENTS)
-    }
-
-    /// Whether the form is compressed under a codec whose uncompressed
-    /// line occupies `line_segments` segments.
-    pub fn is_compressed_in(&self, line_segments: u8) -> bool {
-        self.segments < line_segments
+        self.segments < MAX_SEGMENTS
     }
 }
 
@@ -79,10 +72,6 @@ pub struct MemoryStats {
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     latency: u64,
-    /// Segments of an uncompressed line under the configured codec: the
-    /// bound for sent-form clamping/validation and the threshold for the
-    /// ECC compressed bit.
-    line_segments: u8,
     stored: HashMap<BlockAddr, StoredForm>,
     stats: MemoryStats,
 }
@@ -91,23 +80,7 @@ impl MemoryController {
     /// A controller with the given fixed access latency in cycles, using
     /// the shared 8-segment line frame.
     pub fn new(latency: u64) -> Self {
-        Self::with_line_segments(latency, MAX_SEGMENTS)
-    }
-
-    /// A controller whose sent-form storage validates against a codec
-    /// whose uncompressed line occupies `line_segments` segments.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `line_segments` is zero.
-    pub fn with_line_segments(latency: u64, line_segments: u8) -> Self {
-        assert!(line_segments > 0, "a line needs at least one segment");
-        MemoryController {
-            latency,
-            line_segments,
-            stored: HashMap::new(),
-            stats: MemoryStats::default(),
-        }
+        MemoryController { latency, stored: HashMap::new(), stats: MemoryStats::default() }
     }
 
     /// The fixed DRAM access latency.
@@ -128,13 +101,12 @@ impl MemoryController {
         now: u64,
         fresh_segments: impl FnOnce() -> u8,
     ) -> (u64, StoredForm) {
-        let line_segments = self.line_segments;
         let form = *self
             .stored
             .entry(addr)
-            .or_insert_with(|| StoredForm { segments: fresh_segments().clamp(1, line_segments) });
+            .or_insert_with(|| StoredForm { segments: fresh_segments().clamp(1, MAX_SEGMENTS) });
         self.stats.reads += 1;
-        if form.is_compressed_in(line_segments) {
+        if form.is_compressed() {
             self.stats.compressed_reads += 1;
         }
         (now + self.latency, form)
@@ -144,9 +116,9 @@ impl MemoryController {
     ///
     /// # Panics
     ///
-    /// Panics if `segments` is 0 or exceeds the configured line geometry.
+    /// Panics if `segments` is 0 or exceeds [`MAX_SEGMENTS`].
     pub fn write(&mut self, addr: BlockAddr, segments: u8) {
-        assert!((1..=self.line_segments).contains(&segments), "bad segment count");
+        assert!((1..=MAX_SEGMENTS).contains(&segments), "bad segment count");
         self.stored.insert(addr, StoredForm { segments });
         self.stats.writes += 1;
     }
@@ -253,23 +225,5 @@ mod tests {
         let mut mem = MemoryController::new(1);
         let (_, form) = mem.read(BlockAddr(9), 0, || 0);
         assert_eq!(form.segments, 1);
-    }
-
-    #[test]
-    fn codec_geometry_bounds_sent_forms() {
-        // A narrower line frame: clamping, the write assert and the
-        // compressed-read counter all follow the configured geometry.
-        let mut mem = MemoryController::with_line_segments(1, 4);
-        let (_, form) = mem.read(BlockAddr(0), 0, || 7);
-        assert_eq!(form.segments, 4, "fresh form clamps to the codec frame");
-        assert!(!form.is_compressed_in(4));
-        mem.write(BlockAddr(1), 3);
-        let (_, form) = mem.read(BlockAddr(1), 0, || 4);
-        assert!(form.is_compressed_in(4));
-        assert_eq!(mem.stats().compressed_reads, 1);
-        let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            mem.write(BlockAddr(2), 5);
-        }));
-        assert!(r.is_err(), "writeback beyond the codec frame must panic");
     }
 }

@@ -7,7 +7,7 @@
 //! choice flows through cache, link and memory without breaking the
 //! engine's accounting.
 
-use cmpsim::fpc::{Bdi, Codec, CodecKind, CompressedRepr, Fpc, Zca, LINE_BYTES};
+use cmpsim::fpc::{Bdi, Codec, CodecKind, CompressedRepr, Fpc, Zca, LINE_BYTES, MAX_SEGMENTS};
 use cmpsim::{workload, System, SystemConfig, Variant};
 use cmpsim_harness::codec_conformance::{
     check_conformance, check_decode_zero_mask_sweep, CodecSpec,
@@ -19,7 +19,7 @@ use cmpsim_harness::codec_conformance::{
 fn spec_for<C: Codec>() -> CodecSpec<LINE_BYTES> {
     CodecSpec {
         name: C::NAME,
-        max_segments: C::max_segments(),
+        max_segments: MAX_SEGMENTS,
         round_trip: |line| {
             let c = C::compress(line);
             (c.segments(), c.decompress())
