@@ -19,11 +19,13 @@
 //!
 //! Request fields (`workloads`/`variants` are comma-separated lists;
 //! both accept `all`, `variants` defaults to the four headline configs;
-//! `cores` must lie in `1..=32` and `measure` be at least 1, or the
-//! request is answered with an error line naming the field):
+//! `cores` must lie in `1..=32` and `measure` be at least 1). A request
+//! with a field outside those below, a field given twice, a number sent
+//! as a string (or the reverse) or a value out of range is answered
+//! with one error line naming the field, and runs nothing:
 //!
 //! ```text
-//! {"sweep":"warm","workloads":"apsi,mgrid","variants":"base,pf",
+//! {"sweep":"warm","workloads":"apsi,mgrid","variants":"base,pf","codec":"fpc",
 //!  "cores":4,"seed":11,"warmup":5000,"measure":20000,"threads":4}
 //! {"metrics":1}
 //! {"metrics":1,"format":"prometheus"}
@@ -155,9 +157,27 @@ fn sanitize(s: &str) -> String {
     s.replace(['"', '\\'], "'").replace('\n', " ")
 }
 
+/// The request fields that take a string value; the others take a number.
+const STR_FIELDS: [&str; 5] = ["sweep", "workloads", "variants", "codec", "format"];
+const NUM_FIELDS: [&str; 7] =
+    ["cores", "seed", "warmup", "measure", "threads", "metrics", "shutdown"];
+
 fn parse_request(line: &str) -> Result<Parsed, String> {
     let kvs = parse_flat(line).ok_or_else(|| "not a flat JSON object".to_string())?;
-    let map: HashMap<String, JsonVal> = kvs.into_iter().collect();
+    let mut map: HashMap<String, JsonVal> = HashMap::with_capacity(kvs.len());
+    for (key, val) in kvs {
+        let string = STR_FIELDS.contains(&key.as_str());
+        if !string && !NUM_FIELDS.contains(&key.as_str()) {
+            return Err(format!("unknown field {key:?}"));
+        }
+        if matches!(val, JsonVal::Str(_)) != string {
+            return Err(format!("{key:?} must be {}", if string { "a string" } else { "a number" }));
+        }
+        if map.contains_key(&key) {
+            return Err(format!("duplicate field {key:?}"));
+        }
+        map.insert(key, val);
+    }
     if map.get("shutdown").and_then(JsonVal::as_u64) == Some(1) {
         return Ok(Parsed::Shutdown);
     }

@@ -212,11 +212,12 @@ fn failed_sweep_counts_as_an_error() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// Out-of-range request fields are answered with one error line each,
-/// naming the field and its range, before any cell runs: `cores` beyond
-/// the directory's 32 used to panic inside it, `cores` 0 ran one core,
-/// and `measure` 0 panicked the engine. A valid sweep on the same stream
-/// is served after them.
+/// Malformed request fields are answered with one error line each,
+/// naming the field, before any cell runs: `cores` beyond the
+/// directory's 32 used to panic inside it, `cores` 0 ran one core, and
+/// `measure` 0 panicked the engine. A quoted number, an unknown key and
+/// a repeated key each used to run a sweep with a silent default or the
+/// last value. A valid sweep on the same stream is served after them.
 #[test]
 fn out_of_range_fields_are_rejected_before_any_cell_runs() {
     let dir = temp_dir("bad-fields");
@@ -225,29 +226,28 @@ fn out_of_range_fields_are_rejected_before_any_cell_runs() {
     let mut stdin = child.stdin.take().expect("stdin");
     let stdout = BufReader::new(child.stdout.take().expect("stdout"));
 
-    for (cores, measure) in [(0, 4000), (40, 4000), (2, 0)] {
-        writeln!(
-            stdin,
-            "{{\"sweep\":\"bad\",\"workloads\":\"apsi\",\"variants\":\"base\",\
-             \"cores\":{cores},\"warmup\":1000,\"measure\":{measure}}}"
-        )
-        .expect("send bad request");
+    let bad = "{\"sweep\":\"bad\",\"workloads\":\"apsi\",\"variants\":\"base\",\"warmup\":1000";
+    let cases = [
+        ("\"cores\":0,\"measure\":4000", "'cores' must be in 1..=32, got 0"),
+        ("\"cores\":40,\"measure\":4000", "'cores' must be in 1..=32, got 40"),
+        ("\"cores\":2,\"measure\":0", "'measure' must be at least 1, got 0"),
+        ("\"cores\":\"40\",\"measure\":4000", "'cores' must be a number"),
+        ("\"cores\":2,\"measur\":0", "unknown field 'measur'"),
+        ("\"cores\":2,\"measure\":4000,\"workloads\":\"mgrid\"", "duplicate field 'workloads'"),
+    ];
+    for (fields, _) in cases {
+        writeln!(stdin, "{bad},{fields}}}").expect("send bad request");
     }
     writeln!(stdin, "{SWEEP}").expect("send sweep");
     drop(stdin);
     let lines: Vec<String> = stdout.lines().map(|l| l.expect("read")).collect();
     assert!(child.wait().expect("daemon exits").success());
 
-    assert_eq!(
-        lines[..3],
-        [
-            "{\"error\":\"'cores' must be in 1..=32, got 0\"}",
-            "{\"error\":\"'cores' must be in 1..=32, got 40\"}",
-            "{\"error\":\"'measure' must be at least 1, got 0\"}",
-        ],
-        "{lines:?}"
-    );
-    let served = &lines[3..];
+    let errors: Vec<String> =
+        cases.iter().map(|(_, e)| format!("{{\"error\":\"{e}\"}}")).collect();
+    assert_eq!(lines[..cases.len()], errors, "{lines:?}");
+    let served = &lines[cases.len()..];
+    assert!(!served.iter().any(|l| l.contains("\"sweep\":\"bad\"")), "{lines:?}");
     let cell = "{\"sweep\":\"t\",\"workload\":\"apsi\",\"variant\":\"base\"";
     assert!(served.iter().any(|l| l.starts_with(cell)), "{lines:?}");
     assert!(served.last().is_some_and(|l| l.contains("\"done\":1")), "{lines:?}");

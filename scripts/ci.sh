@@ -42,7 +42,10 @@ echo "== hot-path bit-identity gate (one-worker grid vs seed golden) =="
 # engine: the hot-path data structures (fastmap, event-pool free list,
 # word-parallel FPC sizing) must never change simulation results. The
 # same run also gates the BDI/ZCA smoke grids against the goldens
-# recorded when the pluggable codec suite landed.
+# recorded when the pluggable codec suite landed, and the four variants
+# the headline grid leaves out (cache-only and link-only compression,
+# both adaptive-prefetch variants) against
+# tests/golden/grid_digest_variants.txt.
 cargo run -q --release --offline --example grid_digest
 
 echo "== tracing-inertness gate (grid digest under CMPSIM_TRACE=1) =="
@@ -108,11 +111,14 @@ echo "== serve daemon smoke (two sweeps on stdin share the store) =="
 # 100% hit rate and no corrupt records. A {"metrics":1} query on the
 # same stream must answer one flat-JSON registry snapshot covering all
 # three instrumented layers (store_*, grid_*, serve_*), and the access
-# log must come back as a sealed JSONL artifact.
+# log must come back as a sealed JSONL artifact. A malformed request
+# (a number sent as a string) on the same stream must be answered with
+# an error line naming the field, and must not count as a sweep.
 store_dir=$(mktemp -d)
 access_log=$(mktemp -u)
 serve_out=$(printf '%s\n' \
     '{"sweep":"ci-cold","workloads":"apsi,mgrid","variants":"base,pf","cores":2,"warmup":2000,"measure":8000,"threads":2}' \
+    '{"sweep":"ci-bad","workloads":"apsi","variants":"base","cores":"2","warmup":2000,"measure":8000}' \
     '{"sweep":"ci-warm","workloads":"apsi,mgrid","variants":"base,pf","cores":2,"warmup":2000,"measure":8000,"threads":2}' \
     '{"metrics":1}' \
     | CMPSIM_STORE="$store_dir" CMPSIM_ACCESS_LOG="$access_log" \
@@ -120,6 +126,11 @@ serve_out=$(printf '%s\n' \
 echo "$serve_out" | grep '"sweep":"ci-warm","done":1' \
         | grep '"store_misses":0' | grep -q '"corrupt_skipped":0' || {
     echo "serve daemon warm sweep was not served from the store:" >&2
+    echo "$serve_out" >&2
+    exit 1
+}
+echo "$serve_out" | grep '^{"error":' | grep -q 'cores' || {
+    echo "serve daemon did not reject the malformed cores field:" >&2
     echo "$serve_out" >&2
     exit 1
 }
