@@ -19,10 +19,11 @@
 //!
 //! Request fields (`workloads`/`variants` are comma-separated lists;
 //! both accept `all`, `variants` defaults to the four headline configs;
-//! `cores` must lie in `1..=32` and `measure` be at least 1). A request
-//! with a field outside those below, a field given twice, a number sent
-//! as a string (or the reverse) or a value out of range is answered
-//! with one error line naming the field, and runs nothing:
+//! `cores` must lie in `1..=32`, `threads` in `1..=4096` and `measure`
+//! be at least 1; `serve --help` lists every field). A request with a
+//! field outside those below, a field given twice, a number sent as a
+//! string (or the reverse) or a value out of range is answered with one
+//! error line naming the field, and runs nothing:
 //!
 //! ```text
 //! {"sweep":"warm","workloads":"apsi,mgrid","variants":"base,pf","codec":"fpc",
@@ -59,14 +60,16 @@
 //!   | CMPSIM_STORE=target/store cargo run --release -p cmpsim-bench --bin serve
 //! ```
 //!
-//! `serve --help` prints the table of `CMPSIM_*` knobs. A malformed knob
-//! value exits with status 2 before the daemon starts.
+//! `serve --help` prints the request fields and the table of `CMPSIM_*`
+//! knobs. A malformed knob value exits with status 2 before the daemon
+//! starts.
 
 use cmpsim_core::experiment::{run_grid_resilient, GridCell, ResilienceOptions, SimLength};
 use cmpsim_core::flatjson::{parse_flat, JsonVal};
 use cmpsim_core::seallog::SealedLog;
 use cmpsim_core::store::{CellKey, ResultStore};
 use cmpsim_core::{journal, CodecKind, SystemConfig, Variant};
+use cmpsim_harness::knobs::MAX_THREADS;
 use cmpsim_harness::metrics::{self, Counter, Histogram};
 use cmpsim_harness::supervise::default_threads;
 use cmpsim_harness::{knobs, Supervisor};
@@ -157,19 +160,41 @@ fn sanitize(s: &str) -> String {
     s.replace(['"', '\\'], "'").replace('\n', " ")
 }
 
-/// The request fields that take a string value; the others take a number.
-const STR_FIELDS: [&str; 5] = ["sweep", "workloads", "variants", "codec", "format"];
-const NUM_FIELDS: [&str; 7] =
-    ["cores", "seed", "warmup", "measure", "threads", "metrics", "shutdown"];
+/// Every request field: its name, whether it takes a string (the others
+/// take a number), and what it means, in the order `--help` lists them.
+#[rustfmt::skip]
+const FIELDS: [(&str, bool, &str); 12] = [
+    ("sweep", true, "sweep name echoed in every response line (default sweep)"),
+    ("workloads", true, "comma-separated workloads, or all (required)"),
+    ("variants", true, "comma-separated variants, or all (default: the four headline)"),
+    ("codec", true, "fpc, bdi or zca (default fpc)"),
+    ("cores", false, "cores per cell, 1..=32 (default 4)"),
+    ("seed", false, "workload seed (default 11)"),
+    ("warmup", false, "warmup instructions per core (default CMPSIM_WARMUP, else 1200000)"),
+    ("measure", false, "measured instructions per core, >= 1 (default CMPSIM_MEASURE, else 600000)"),
+    ("threads", false, "worker threads, 1..=4096 (default CMPSIM_THREADS, else all cores)"),
+    ("metrics", false, "1: answer one registry snapshot instead of a sweep"),
+    ("format", true, "with metrics: prometheus for the Prometheus text format"),
+    ("shutdown", false, "1: stop the daemon"),
+];
+
+/// The request-field table `--help` prints.
+fn fields_help() -> String {
+    let mut s = String::from("Request fields (one flat JSON object per line):\n\n");
+    s += &format!("  {:<12}{:<8}{}\n", "NAME", "VALUE", "MEANING");
+    for (name, string, doc) in FIELDS {
+        s += &format!("  {name:<12}{:<8}{doc}\n", if string { "string" } else { "number" });
+    }
+    s
+}
 
 fn parse_request(line: &str) -> Result<Parsed, String> {
     let kvs = parse_flat(line).ok_or_else(|| "not a flat JSON object".to_string())?;
     let mut map: HashMap<String, JsonVal> = HashMap::with_capacity(kvs.len());
     for (key, val) in kvs {
-        let string = STR_FIELDS.contains(&key.as_str());
-        if !string && !NUM_FIELDS.contains(&key.as_str()) {
+        let Some(&(_, string, _)) = FIELDS.iter().find(|(name, ..)| *name == key) else {
             return Err(format!("unknown field {key:?}"));
-        }
+        };
         if matches!(val, JsonVal::Str(_)) != string {
             return Err(format!("{key:?} must be {}", if string { "a string" } else { "a number" }));
         }
@@ -237,9 +262,11 @@ fn parse_request(line: &str) -> Result<Parsed, String> {
     if len.measure == 0 {
         return Err("\"measure\" must be at least 1, got 0".to_string());
     }
-    let threads = num_field("threads")
-        .map(|t| (t as usize).max(1))
-        .unwrap_or_else(default_threads);
+    let threads = match num_field("threads") {
+        None => default_threads(),
+        Some(t @ 1..=MAX_THREADS) => t as usize,
+        Some(t) => return Err(format!("\"threads\" must be in 1..={MAX_THREADS}, got {t}")),
+    };
     Ok(Parsed::Sweep(Box::new(Request { sweep, specs, variants, base, len, threads })))
 }
 
@@ -427,7 +454,7 @@ const USAGE: &str = "usage: serve [--socket <path>] [--access-log <path>]   \
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     if args.iter().any(|a| a == "--help") {
-        println!("{USAGE}\n\n{}", cmpsim_harness::knobs::help());
+        println!("{USAGE}\n\n{}\n{}", fields_help(), cmpsim_harness::knobs::help());
         return;
     }
     let mut socket: Option<String> = None;

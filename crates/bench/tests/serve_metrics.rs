@@ -234,6 +234,8 @@ fn out_of_range_fields_are_rejected_before_any_cell_runs() {
         ("\"cores\":\"40\",\"measure\":4000", "'cores' must be a number"),
         ("\"cores\":2,\"measur\":0", "unknown field 'measur'"),
         ("\"cores\":2,\"measure\":4000,\"workloads\":\"mgrid\"", "duplicate field 'workloads'"),
+        ("\"cores\":2,\"measure\":4000,\"threads\":0", "'threads' must be in 1..=4096, got 0"),
+        ("\"cores\":2,\"measure\":4000,\"threads\":5000", "'threads' must be in 1..=4096, got 5000"),
     ];
     for (fields, _) in cases {
         writeln!(stdin, "{bad},{fields}}}").expect("send bad request");
@@ -254,4 +256,18 @@ fn out_of_range_fields_are_rejected_before_any_cell_runs() {
     assert!(!lines.iter().any(|l| l.contains("panicked")), "{lines:?}");
 
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn help_lists_every_request_field() {
+    let out = Command::new(env!("CARGO_BIN_EXE_serve")).arg("--help").output().expect("run --help");
+    assert!(out.status.success());
+    let help = String::from_utf8(out.stdout).expect("utf-8 help");
+    for field in [
+        "sweep", "workloads", "variants", "codec", "cores", "seed", "warmup", "measure",
+        "threads", "metrics", "format", "shutdown",
+    ] {
+        assert!(help.lines().any(|l| l.starts_with(&format!("  {field} "))), "{field}:\n{help}");
+    }
+    assert!(help.contains("1..=4096"), "{help}");
 }

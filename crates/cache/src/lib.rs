@@ -23,6 +23,7 @@
 
 mod adaptive;
 mod block;
+mod meta;
 mod set_assoc;
 mod stats;
 mod vsc;

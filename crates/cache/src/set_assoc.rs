@@ -3,10 +3,14 @@
 //! Used for the private L1 caches (64 KB, 4-way) and the uncompressed
 //! baseline L2 (4 MB, 8-way). Lines carry caller-supplied metadata `M`
 //! (MSI state for L1s, a directory entry for the L2) plus the per-tag
-//! *prefetch bit* the adaptive prefetcher reads (§3).
+//! *prefetch bit* the adaptive prefetcher reads (§3). Like the VSC, the
+//! tag store is columnar and starts as zeroed memory, so a cache's size
+//! follows its geometry and `new` writes none of it.
 
 use crate::block::BlockAddr;
+use crate::meta::MetaColumn;
 use crate::stats::CacheStats;
+use std::ops::Range;
 
 /// Static geometry of a [`SetAssocCache`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -38,15 +42,6 @@ impl SetAssocConfig {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Line<M> {
-    addr: BlockAddr,
-    valid: bool,
-    prefetch: bool,
-    lru: u64,
-    meta: M,
-}
-
 /// A line evicted by [`SetAssocCache::fill`], handed back to the
 /// controller for writebacks / coherence recalls / adaptive-prefetch
 /// accounting.
@@ -76,16 +71,35 @@ pub struct EvictedLine<M> {
 #[derive(Debug, Clone)]
 pub struct SetAssocCache<M> {
     cfg: SetAssocConfig,
-    sets: Vec<Vec<Line<M>>>,
+    /// The lines, one column per field, indexed by `set * ways + way`.
+    /// The scalar columns start as `vec![0; n]`: the allocator hands
+    /// those out as untouched zero pages, so sets a run never reaches
+    /// cost no resident memory.
+    addr: Vec<u64>,
+    /// LRU stamps. 0 marks an invalid way; real stamps start at 1, so
+    /// the first way with the lowest stamp in a set is its first invalid
+    /// way, or its LRU line when every way is valid.
+    lru: Vec<u64>,
+    /// The per-tag prefetch bit (§3).
+    prefetch: Vec<bool>,
+    meta: MetaColumn<M>,
     clock: u64,
     stats: CacheStats,
 }
 
-impl<M: Clone> SetAssocCache<M> {
+impl<M: Clone + Default> SetAssocCache<M> {
     /// Creates an empty cache with the given geometry.
     pub fn new(cfg: SetAssocConfig) -> Self {
-        let sets = (0..cfg.sets).map(|_| Vec::with_capacity(cfg.ways)).collect();
-        SetAssocCache { cfg, sets, clock: 0, stats: CacheStats::default() }
+        let n = cfg.sets * cfg.ways;
+        SetAssocCache {
+            cfg,
+            addr: vec![0; n],
+            lru: vec![0; n],
+            prefetch: vec![false; n],
+            meta: MetaColumn::new(n),
+            clock: 0,
+            stats: CacheStats::default(),
+        }
     }
 
     /// The cache geometry.
@@ -103,8 +117,23 @@ impl<M: Clone> SetAssocCache<M> {
         self.stats = CacheStats::default();
     }
 
-    fn set_of(&self, addr: BlockAddr) -> usize {
-        addr.set_index(self.cfg.sets)
+    /// Column indices of `addr`'s set.
+    #[inline]
+    fn ways_of(&self, addr: BlockAddr) -> Range<usize> {
+        let first = addr.set_index(self.cfg.sets) * self.cfg.ways;
+        first..first + self.cfg.ways
+    }
+
+    /// The valid way holding `addr`.
+    #[inline]
+    fn find(&self, addr: BlockAddr) -> Option<usize> {
+        let ways = self.ways_of(addr);
+        let first = ways.start;
+        self.addr[ways.clone()]
+            .iter()
+            .zip(&self.lru[ways])
+            .position(|(&a, &stamp)| a == addr.0 && stamp != 0)
+            .map(|i| first + i)
     }
 
     /// Looks up `addr`, updating LRU on hit. Returns the line's metadata.
@@ -115,43 +144,34 @@ impl<M: Clone> SetAssocCache<M> {
     /// as a side effect, per §3).
     pub fn lookup(&mut self, addr: BlockAddr) -> Option<(&mut M, bool)> {
         self.clock += 1;
-        let clock = self.clock;
-        let set = self.set_of(addr);
-        let line = self.sets[set].iter_mut().find(|l| l.valid && l.addr == addr)?;
-        line.lru = clock;
-        let first_touch = line.prefetch;
-        line.prefetch = false;
+        let i = self.find(addr)?;
+        self.lru[i] = self.clock;
+        let first_touch = std::mem::take(&mut self.prefetch[i]);
         self.stats.hits += 1;
         if first_touch {
             self.stats.prefetch_first_touches += 1;
         }
-        Some((&mut line.meta, first_touch))
+        Some((self.meta.get_mut(i), first_touch))
     }
 
     /// Peeks at `addr` without updating LRU or the prefetch bit.
     pub fn peek(&self, addr: BlockAddr) -> Option<&M> {
-        let set = self.set_of(addr);
-        self.sets[set].iter().find(|l| l.valid && l.addr == addr).map(|l| &l.meta)
+        self.find(addr).map(|i| self.meta.get(i))
     }
 
     /// Mutable peek without LRU/prefetch-bit side effects.
     pub fn peek_mut(&mut self, addr: BlockAddr) -> Option<&mut M> {
-        let set = self.set_of(addr);
-        self.sets[set]
-            .iter_mut()
-            .find(|l| l.valid && l.addr == addr)
-            .map(|l| &mut l.meta)
+        self.find(addr).map(|i| self.meta.get_mut(i))
     }
 
     /// Whether `addr` is present (valid) without any side effects.
     pub fn contains(&self, addr: BlockAddr) -> bool {
-        self.peek(addr).is_some()
+        self.find(addr).is_some()
     }
 
     /// Whether the line at `addr` still has its prefetch bit set.
     pub fn prefetch_bit(&self, addr: BlockAddr) -> Option<bool> {
-        let set = self.set_of(addr);
-        self.sets[set].iter().find(|l| l.valid && l.addr == addr).map(|l| l.prefetch)
+        self.find(addr).map(|i| self.prefetch[i])
     }
 
     /// Inserts `addr`, evicting the LRU line if the set is full.
@@ -161,17 +181,12 @@ impl<M: Clone> SetAssocCache<M> {
     /// of duplicating the tag.
     pub fn fill(&mut self, addr: BlockAddr, prefetched: bool, meta: M) -> Option<EvictedLine<M>> {
         self.clock += 1;
-        let clock = self.clock;
-        let ways = self.cfg.ways;
-        let set_idx = self.set_of(addr);
-        let set = &mut self.sets[set_idx];
-
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.addr == addr) {
-            line.lru = clock;
-            line.meta = meta;
+        if let Some(i) = self.find(addr) {
+            self.lru[i] = self.clock;
+            *self.meta.get_mut(i) = meta;
             // A demand fill of a prefetched-but-in-flight line keeps the
             // stronger (demand) classification.
-            line.prefetch &= prefetched;
+            self.prefetch[i] &= prefetched;
             return None;
         }
 
@@ -180,57 +195,54 @@ impl<M: Clone> SetAssocCache<M> {
             self.stats.prefetch_fills += 1;
         }
 
-        let new_line =
-            Line { addr, valid: true, prefetch: prefetched, lru: clock, meta };
-
-        if let Some(slot) = set.iter_mut().find(|l| !l.valid) {
-            *slot = new_line;
-            return None;
+        let ways = self.ways_of(addr);
+        let mut slot = ways.start;
+        for i in ways {
+            if self.lru[i] < self.lru[slot] {
+                slot = i;
+            }
         }
-        if set.len() < ways {
-            set.push(new_line);
-            return None;
-        }
-        let victim_idx = set
-            .iter()
-            .enumerate()
-            .min_by_key(|(_, l)| l.lru)
-            .map(|(i, _)| i)
-            .expect("full set has a victim");
-        let victim = std::mem::replace(&mut set[victim_idx], new_line);
-        self.stats.evictions += 1;
-        if victim.prefetch {
-            self.stats.unused_prefetch_evictions += 1;
-        }
-        Some(EvictedLine {
-            addr: victim.addr,
-            was_unused_prefetch: victim.prefetch,
-            meta: victim.meta,
-        })
+        let victim = if self.lru[slot] == 0 {
+            self.meta.set(slot, meta);
+            None
+        } else {
+            let was_unused_prefetch = self.prefetch[slot];
+            self.stats.evictions += 1;
+            if was_unused_prefetch {
+                self.stats.unused_prefetch_evictions += 1;
+            }
+            Some(EvictedLine {
+                addr: BlockAddr(self.addr[slot]),
+                was_unused_prefetch,
+                meta: std::mem::replace(self.meta.get_mut(slot), meta),
+            })
+        };
+        self.addr[slot] = addr.0;
+        self.lru[slot] = self.clock;
+        self.prefetch[slot] = prefetched;
+        victim
     }
 
     /// Removes `addr` (coherence invalidation / inclusion recall),
     /// returning its metadata.
     pub fn invalidate(&mut self, addr: BlockAddr) -> Option<M> {
-        let set = self.set_of(addr);
-        let line = self.sets[set].iter_mut().find(|l| l.valid && l.addr == addr)?;
-        line.valid = false;
+        let i = self.find(addr)?;
+        self.lru[i] = 0;
         self.stats.invalidations += 1;
-        Some(line.meta.clone())
+        Some(std::mem::take(self.meta.get_mut(i)))
     }
 
     /// Number of valid lines currently resident.
     pub fn valid_lines(&self) -> usize {
-        self.sets.iter().flatten().filter(|l| l.valid).count()
+        self.lru.iter().filter(|&&stamp| stamp != 0).count()
     }
 
-    /// Calls `f` for every valid line (for assertions and debugging).
+    /// Calls `f` for every valid line, set by set (for assertions and
+    /// debugging).
     pub fn for_each_valid(&self, mut f: impl FnMut(BlockAddr, &M)) {
-        for set in &self.sets {
-            for l in set {
-                if l.valid {
-                    f(l.addr, &l.meta);
-                }
+        for (i, &stamp) in self.lru.iter().enumerate() {
+            if stamp != 0 {
+                f(BlockAddr(self.addr[i]), self.meta.get(i));
             }
         }
     }

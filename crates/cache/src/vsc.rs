@@ -15,6 +15,7 @@
 //! misses.
 
 use crate::block::BlockAddr;
+use crate::meta::MetaColumn;
 use crate::stats::CacheStats;
 use cmpsim_fpc::{LINE_BYTES, MAX_SEGMENTS};
 use std::ops::Range;
@@ -72,8 +73,6 @@ const ALLOCATED: u8 = 1;
 const HAS_DATA: u8 = 2;
 /// Tag flag: prefetched and not yet touched by a demand access.
 const PREFETCH: u8 = 4;
-/// Tags per page of the metadata column (4 KiB of directory entries).
-const META_PAGE: usize = 512;
 
 /// Outcome of [`VscCache::lookup`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -144,11 +143,9 @@ pub struct VscCache<M> {
     segments: Vec<u8>,
     /// [`ALLOCATED`], [`HAS_DATA`] and [`PREFETCH`] bits.
     flags: Vec<u8>,
-    /// The metadata column in pages of [`META_PAGE`] tags, each
-    /// allocated by the first fill into it: a generic `M` cannot start as
-    /// zeroed memory, and writing a default for every tag would make
-    /// `new` touch the whole column.
-    meta: Vec<Option<Box<[M]>>>,
+    /// The metadata column, whose pages the first fill into each
+    /// allocates.
+    meta: MetaColumn<M>,
     /// Lines resident with data, kept up to date by every fill,
     /// eviction and invalidation so occupancy queries are O(1).
     resident: u64,
@@ -181,7 +178,7 @@ impl<M: Clone + Default> VscCache<M> {
             lru: vec![0; n],
             segments: vec![0; n],
             flags: vec![0; n],
-            meta: (0..n.div_ceil(META_PAGE)).map(|_| None).collect(),
+            meta: MetaColumn::new(n),
             resident: 0,
             used_total: 0,
             evicted: Vec::new(),
@@ -245,23 +242,12 @@ impl<M: Clone + Default> VscCache<M> {
             .sum()
     }
 
-    /// Tag `i`'s metadata; its page exists once the tag has held data.
-    fn meta_at(&self, i: usize) -> &M {
-        let page = self.meta[i / META_PAGE].as_deref().expect("a filled tag's page exists");
-        &page[i % META_PAGE]
-    }
-
-    fn meta_at_mut(&mut self, i: usize) -> &mut M {
-        let page = self.meta[i / META_PAGE].as_deref_mut().expect("a filled tag's page exists");
-        &mut page[i % META_PAGE]
-    }
-
     /// Drops tag `i`'s data, leaving a victim tag, and queues the
     /// eviction for the caller.
     fn evict(&mut self, i: usize) {
         let segments = self.segments[i];
         let was_unused_prefetch = self.flags[i] & PREFETCH != 0;
-        let meta = std::mem::take(self.meta_at_mut(i));
+        let meta = std::mem::take(self.meta.get_mut(i));
         self.evicted.push(VscEvicted {
             addr: BlockAddr(self.addr[i]),
             segments,
@@ -309,12 +295,12 @@ impl<M: Clone + Default> VscCache<M> {
 
     /// Read-only probe without LRU/prefetch side effects.
     pub fn peek(&self, addr: BlockAddr) -> Option<&M> {
-        self.find(self.tags_of(addr), addr, HAS_DATA).map(|i| self.meta_at(i))
+        self.find(self.tags_of(addr), addr, HAS_DATA).map(|i| self.meta.get(i))
     }
 
     /// Mutable access to a resident line's metadata (no side effects).
     pub fn meta_mut(&mut self, addr: BlockAddr) -> Option<&mut M> {
-        self.find(self.tags_of(addr), addr, HAS_DATA).map(|i| self.meta_at_mut(i))
+        self.find(self.tags_of(addr), addr, HAS_DATA).map(|i| self.meta.get_mut(i))
     }
 
     /// Whether the line is resident with data.
@@ -419,9 +405,7 @@ impl<M: Clone + Default> VscCache<M> {
         self.flags[slot] = ALLOCATED | HAS_DATA | if prefetch { PREFETCH } else { 0 };
         self.segments[slot] = segments;
         self.lru[slot] = self.clock;
-        let page = self.meta[slot / META_PAGE]
-            .get_or_insert_with(|| vec![M::default(); META_PAGE].into_boxed_slice());
-        page[slot % META_PAGE] = meta;
+        self.meta.set(slot, meta);
 
         debug_assert!(self.used_segments(tags) <= self.cfg.segments_per_set);
         self.evicted.drain(..)
@@ -437,7 +421,7 @@ impl<M: Clone + Default> VscCache<M> {
         self.resident -= 1;
         self.used_total -= u64::from(segs);
         self.stats.invalidations += 1;
-        Some((std::mem::take(self.meta_at_mut(i)), segs))
+        Some((std::mem::take(self.meta.get_mut(i)), segs))
     }
 
     /// Number of lines resident with data.
@@ -538,7 +522,7 @@ impl<M: Clone + Default> VscCache<M> {
     pub fn for_each_valid(&self, mut f: impl FnMut(BlockAddr, &M, u8)) {
         for i in 0..self.flags.len() {
             if self.flags[i] & HAS_DATA != 0 {
-                f(BlockAddr(self.addr[i]), self.meta_at(i), self.segments[i]);
+                f(BlockAddr(self.addr[i]), self.meta.get(i), self.segments[i]);
             }
         }
     }

@@ -24,7 +24,7 @@ use cmpsim_coherence::{
 };
 use cmpsim_fpc::MAX_SEGMENTS;
 use cmpsim_harness::chaos::{FaultPlan, FaultSite};
-use cmpsim_harness::fastmap::{AddrMap, MemoCache};
+use cmpsim_harness::fastmap::{fx_hash64, AddrMap};
 use cmpsim_harness::knobs;
 use cmpsim_harness::telemetry::{self as harness_telemetry, FlightRecorder, Record};
 use cmpsim_link::{Channel, Message};
@@ -45,11 +45,8 @@ const BANK_OCCUPANCY: u64 = 2;
 /// the overhead to a few percent).
 const INVARIANT_SAMPLE_PERIOD: u64 = 2048;
 /// Slots in the segment-size memo, which caches the configured codec's
-/// sizing of each line. Direct-mapped and capacity-capped: a colliding
-/// line evicts the previous resident and a later miss just recomputes,
-/// so long runs keep a fixed footprint instead of growing one entry per
-/// distinct block address touched (64 Ki slots cover a 4 MB L2 with
-/// headroom for link-only traffic).
+/// sizing of each line (see [`memo_segments`]). 64 Ki slots cover a
+/// 4 MB L2 with headroom for link-only traffic.
 const SEG_MEMO_SLOTS: usize = 1 << 16;
 /// Detected-corruption strikes before a line is quarantined to
 /// uncompressed storage (chaos runs only).
@@ -147,7 +144,9 @@ impl L2Mshr {
 pub struct System {
     cfg: SystemConfig,
     values: cmpsim_trace::ValueProfile,
-    seg_cache: MemoCache<u8>,
+    /// The segment-size memo, [`SEG_MEMO_SLOTS`] packed slots read and
+    /// written only by [`memo_segments`].
+    seg_memo: Vec<u64>,
     /// The configured codec's sizing function, resolved once from
     /// [`CodecKind::segments_fn`] at construction so the hot path is a
     /// direct indirect call with no per-line enum dispatch.
@@ -262,7 +261,7 @@ impl System {
         let codec_decomp = cfg.codec.decompression_latency(cfg.decompression_latency);
         let mut sys = System {
             values,
-            seg_cache: MemoCache::new(SEG_MEMO_SLOTS),
+            seg_memo: vec![0; SEG_MEMO_SLOTS],
             codec_segments,
             codec_image,
             codec_decomp,
@@ -802,14 +801,11 @@ impl System {
     // ------------------------------------------------------------ helpers
 
     /// Configured codec's segment count of a line's (deterministic)
-    /// contents, memoized in a bounded direct-mapped cache (an eviction
-    /// only costs the recompute; the value is a pure function of the
-    /// address given the codec, which is fixed per system).
+    /// contents, memoized in `seg_memo`.
     fn segments_of(&mut self, addr: BlockAddr) -> u8 {
         let values = &self.values;
         let sizer = self.codec_segments;
-        self.seg_cache
-            .get_or_insert_with(addr.0, || sizer(&values.line_bytes(addr.0)))
+        memo_segments(&mut self.seg_memo, addr.0, || sizer(&values.line_bytes(addr.0)))
     }
 
     /// Segments a data message for `addr` occupies on the link.
@@ -1332,12 +1328,10 @@ impl System {
     }
 
     fn handle_mem_response(&mut self, addr: BlockAddr, attempt: u8) {
-        let link_compression = self.cfg.link_compression;
-        let fresh = if link_compression { self.segments_of(addr) } else { MAX_SEGMENTS };
-        let (_, form) = self.mem.read(addr, self.now, || fresh);
-        let segments = if link_compression { form.segments } else { MAX_SEGMENTS };
+        let sent = self.link_segments(addr);
+        let (_, form) = self.mem.read(addr, self.now, || sent);
         let for_prefetch = self.l2_mshrs.get(addr.0).is_none_or(L2Mshr::for_prefetch);
-        let msg = Message::data_response(addr, segments, for_prefetch);
+        let msg = Message::data_response(addr, form.segments, for_prefetch);
         if let Some(plan) = self.chaos {
             // Data-corruption site: the response crosses the link (flits
             // burned) but arrives corrupt; the L2 NACKs it and memory
@@ -1742,5 +1736,64 @@ impl System {
             self.schedule(self.now, Event::CoreStep { core: c as u8 });
         }
         self.drain_pf_queue(c);
+    }
+}
+
+/// The segment-size memo's one access path. `memo` is a direct-mapped
+/// table (its length a power of two) of packed `addr << 4 | segments`
+/// slots, where 0 marks an empty slot because a line is never 0
+/// segments. A colliding line overwrites the slot and a later miss just
+/// recomputes, which is safe because the size is a pure function of the
+/// address for the system's fixed codec. An address of 2^60 or more
+/// would alias a lower one under the shift, so it skips the memo. The
+/// table starts as `vec![0; n]`, so slots a run never reaches cost no
+/// resident memory.
+fn memo_segments(memo: &mut [u64], addr: u64, size: impl FnOnce() -> u8) -> u8 {
+    debug_assert!(memo.len().is_power_of_two(), "memo length must be a power of two");
+    if addr >> 60 != 0 {
+        return size();
+    }
+    let slot = &mut memo[fx_hash64(addr) as usize & (memo.len() - 1)];
+    if *slot != 0 && *slot >> 4 == addr {
+        return (*slot & 0xF) as u8;
+    }
+    let segments = size();
+    debug_assert!((1..16).contains(&segments), "{segments} segments do not pack");
+    *slot = addr << 4 | u64::from(segments);
+    segments
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn memo_gives_every_line_its_own_size() {
+        const SLOTS: usize = 16;
+        let size = |addr: u64| (addr % 7 + 1) as u8;
+        let slot = |addr: u64| fx_hash64(addr) as usize & (SLOTS - 1);
+        let mut memo = vec![0u64; SLOTS];
+        let mut read = |addr: u64| {
+            let mut sized = false;
+            let got = memo_segments(&mut memo, addr, || {
+                sized = true;
+                size(addr)
+            });
+            (got, sized)
+        };
+
+        // `a` and `high` share a slot, and `high << 4` equals `a << 4`.
+        let a = (1..).find(|&a| slot(a) == slot(a | 1 << 60)).expect("a shared slot");
+        let high = a | 1 << 60;
+        let b = (a + 1..).find(|&b| slot(b) == slot(a) && size(b) != size(a)).expect("a collider");
+        assert_eq!(read(a), (size(a), true));
+        assert_eq!(read(a), (size(a), false), "a memo hit");
+        assert_eq!(read(b), (size(b), true), "a collider is sized, not served a's size");
+        assert_eq!(read(a), (size(a), true), "the evicted line is sized again");
+        assert_ne!(size(high), size(a));
+        for _ in 0..2 {
+            assert_eq!(read(high), (size(high), true), "a line at 2^60 or above skips the memo");
+        }
+        assert_eq!(read(a), (size(a), false), "the high line left a's slot alone");
     }
 }

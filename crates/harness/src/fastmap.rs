@@ -3,9 +3,10 @@
 //! `std::collections::HashMap` defaults to SipHash-1-3, a keyed
 //! cryptographic hash that costs tens of cycles per lookup and whose
 //! per-process random key makes iteration order vary run to run. The
-//! engine's inner loop does several map operations per simulated event
-//! (MSHR lookups on every L1/L2 miss, a segment-size memo on every fill
-//! and link transfer), so both costs matter here:
+//! engine's inner loop does map operations per simulated event (MSHR
+//! lookups on every L1/L2 miss, and the segment-size memo hashes with
+//! [`fx_hash64`] on every fill and link transfer), so both costs matter
+//! here:
 //!
 //! - [`fx_hash64`] — an FxHash-style multiplicative hash over one `u64`
 //!   (one multiply plus a fold), the same family rustc uses internally.
@@ -15,19 +16,12 @@
 //!   operation sequence always produces the same internal state, which
 //!   is what the grid determinism suite (`tests/determinism.rs`)
 //!   requires of everything the engine touches.
-//! - [`MemoCache`] — the capacity-capped companion for *memoization*
-//!   maps whose values are pure functions of the key (e.g. FPC segment
-//!   counts of deterministic line contents): a direct-mapped table where
-//!   a colliding insert simply evicts the previous resident. Lookups are
-//!   one probe, the footprint is fixed for the life of the run, and an
-//!   eviction only costs a recompute — never an incorrect value.
 //!
-//! Determinism contract: none of these types ever consults ambient
-//! state (no `RandomState`, no addresses-as-hashes). Behavior is a pure
-//! function of the operation sequence, so swapping them in for
-//! `HashMap` cannot change simulation results — only iteration order,
-//! which callers must not rely on (sort before presenting, as the
-//! engine's diagnostics do).
+//! Determinism contract: neither ever consults ambient state (no
+//! `RandomState`, no addresses-as-hashes). Behavior is a pure function of
+//! the operation sequence, so swapping them in for `HashMap` cannot
+//! change simulation results — only iteration order, which callers must
+//! not rely on (sort before presenting, as the engine's diagnostics do).
 
 /// Multiplicative 64-bit hash (FxHash family): one odd-constant multiply
 /// to spread entropy up, one fold to bring the well-mixed high bits down
@@ -255,83 +249,6 @@ impl<V> AddrMap<V> {
     }
 }
 
-/// A bounded, direct-mapped memoization cache for values that are pure
-/// functions of their `u64` key.
-///
-/// Each key hashes to exactly one slot; a colliding insert evicts the
-/// previous resident (capacity-capped eviction). Because values are
-/// recomputable from keys, an eviction costs only a recompute on the
-/// next miss — it can never produce a stale or wrong value. The
-/// footprint is fixed at construction, so multi-minute sweeps stop
-/// growing without bound (the engine's segment-size memo previously kept
-/// one entry per distinct block address for the life of a run).
-///
-/// Eviction is deterministic: which resident a new key displaces depends
-/// only on the two keys' hashes, never on timing or ambient state.
-///
-/// # Examples
-///
-/// ```
-/// use cmpsim_harness::fastmap::MemoCache;
-/// let mut memo: MemoCache<u8> = MemoCache::new(1 << 4);
-/// let v = memo.get_or_insert_with(42, || 7);
-/// assert_eq!(v, 7);
-/// // Second call hits the memo; the closure is not consulted.
-/// assert_eq!(memo.get_or_insert_with(42, || unreachable!()), 7);
-/// ```
-#[derive(Debug, Clone)]
-pub struct MemoCache<V> {
-    slots: Vec<Option<(u64, V)>>,
-    mask: usize,
-}
-
-impl<V: Copy> MemoCache<V> {
-    /// A memo with `capacity` slots (rounded up to a power of two).
-    pub fn new(capacity: usize) -> Self {
-        let cap = capacity.max(2).next_power_of_two();
-        MemoCache { slots: vec![None; cap], mask: cap - 1 }
-    }
-
-    /// Slot count (the hard bound on resident entries).
-    pub fn capacity(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Number of occupied slots.
-    pub fn len(&self) -> usize {
-        self.slots.iter().filter(|s| s.is_some()).count()
-    }
-
-    /// Whether no slot is occupied.
-    pub fn is_empty(&self) -> bool {
-        self.slots.iter().all(|s| s.is_none())
-    }
-
-    /// The memoized value for `key`, if resident.
-    #[inline]
-    pub fn get(&self, key: u64) -> Option<V> {
-        match self.slots[fx_hash64(key) as usize & self.mask] {
-            Some((k, v)) if k == key => Some(v),
-            _ => None,
-        }
-    }
-
-    /// Returns the memoized value for `key`, computing and (possibly
-    /// evicting a collider to) cache it on a miss.
-    #[inline]
-    pub fn get_or_insert_with(&mut self, key: u64, f: impl FnOnce() -> V) -> V {
-        let slot = &mut self.slots[fx_hash64(key) as usize & self.mask];
-        match slot {
-            Some((k, v)) if *k == key => *v,
-            _ => {
-                let v = f();
-                *slot = Some((key, v));
-                v
-            }
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -426,38 +343,6 @@ mod tests {
         keys.sort_unstable();
         assert_eq!(keys, vec![5, 9]);
         assert_eq!(m.iter().count(), 2);
-    }
-
-    #[test]
-    fn memo_caps_capacity_and_recomputes_after_eviction() {
-        let mut memo: MemoCache<u64> = MemoCache::new(8);
-        assert_eq!(memo.capacity(), 8);
-        for k in 0..1_000u64 {
-            assert_eq!(memo.get_or_insert_with(k, || k * 2), k * 2);
-        }
-        assert!(memo.len() <= 8);
-        // Whatever was evicted recomputes correctly.
-        for k in 0..1_000u64 {
-            assert_eq!(memo.get_or_insert_with(k, || k * 2), k * 2);
-        }
-    }
-
-    #[test]
-    fn memo_eviction_is_deterministic() {
-        let run = || {
-            let mut memo: MemoCache<u64> = MemoCache::new(16);
-            for k in 0..500u64 {
-                memo.get_or_insert_with(k.wrapping_mul(0x2545_F491_4F6C_DD1D), || k);
-            }
-            let mut resident: Vec<(u64, u64)> = memo
-                .slots
-                .iter()
-                .filter_map(|s| *s)
-                .collect();
-            resident.sort_unstable();
-            resident
-        };
-        assert_eq!(run(), run());
     }
 
     #[test]

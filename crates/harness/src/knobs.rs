@@ -85,11 +85,15 @@ const fn knob(name: &'static str, default: &'static str, doc: &'static str, kind
 /// Case counts stay far below `u32::MAX`.
 const MAX_CASES: u64 = 1_000_000;
 
+/// The most worker threads one grid sweep may ask for, through
+/// `CMPSIM_THREADS` or a `serve` request's `threads` field.
+pub const MAX_THREADS: u64 = 4096;
+
 /// Every knob, in the order [`help`] lists them.
 #[rustfmt::skip]
 static KNOBS: [Knob; 15] = [
     knob("CMPSIM_THREADS", "all cores", "worker threads per grid sweep",
-        Count { min: 1, max: 4096, set: |k, n| k.threads = Some(n as usize) }),
+        Count { min: 1, max: MAX_THREADS, set: |k, n| k.threads = Some(n as usize) }),
     // Past 24 h a deadline is a unit mistake.
     knob("CMPSIM_CELL_DEADLINE_MS", "off", "abandon a grid cell that runs longer",
         Millis { min: 1, max: 86_400_000, set: |k, d| k.cell_deadline = Some(d) }),

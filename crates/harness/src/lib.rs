@@ -25,10 +25,9 @@
 //!   [`Knobs`], with a malformed value rejected by name (exit status 2)
 //!   instead of falling back to a default. README's knob table and
 //!   `serve --help` list them all.
-//! - [`fastmap`] — deterministic, SipHash-free hash containers for the
-//!   engine's hot paths: an open-addressing [`fastmap::AddrMap`] for
-//!   MSHR-style exact maps and a bounded [`fastmap::MemoCache`] for
-//!   memoizing pure functions of block addresses.
+//! - [`fastmap`] — deterministic, SipHash-free hashing for the engine's
+//!   hot paths: [`fastmap::fx_hash64`] and an open-addressing
+//!   [`fastmap::AddrMap`] for MSHR-style exact maps.
 //! - [`telemetry`] — observability plumbing: a fixed-capacity flight
 //!   recorder of packed sim events, buffered JSONL series artifacts
 //!   under `target/telemetry/`, and a stderr heartbeat for live grid

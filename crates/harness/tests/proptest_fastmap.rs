@@ -1,9 +1,8 @@
 //! Property tests for `fastmap`: the open-addressing `AddrMap` is checked
 //! against `std::collections::HashMap` as an oracle over random operation
-//! sequences, and the bounded `MemoCache` is checked for deterministic
-//! capacity-capped eviction.
+//! sequences.
 
-use cmpsim_harness::fastmap::{fx_hash64, AddrMap, MemoCache};
+use cmpsim_harness::fastmap::AddrMap;
 use cmpsim_harness::{gen, prop::check, prop_assert, prop_assert_eq};
 use std::collections::HashMap;
 
@@ -122,53 +121,6 @@ fn tombstone_churn_bounds_table() {
             }
             for k in 0..32u64 {
                 prop_assert_eq!(map.get(k).copied(), Some(k * 2));
-            }
-            Ok(())
-        },
-    );
-}
-
-/// The memo cache never exceeds its capacity and never returns a value
-/// that was not inserted for exactly that key.
-#[test]
-fn memo_cache_is_bounded_and_keyed() {
-    check(
-        "memo_cache_is_bounded_and_keyed",
-        &gen::vec_of(gen::u64s(0..=4096), 1..=300),
-        |keys| {
-            let mut memo = MemoCache::new(64);
-            for &k in keys {
-                // The "computation" is a pure function of the key, as on
-                // the engine's segment-sizing path.
-                let v = memo.get_or_insert_with(k, || k.wrapping_mul(3));
-                prop_assert_eq!(v, k.wrapping_mul(3));
-                if let Some(hit) = memo.get(k) {
-                    prop_assert_eq!(hit, k.wrapping_mul(3));
-                }
-                prop_assert!(memo.len() <= memo.capacity());
-            }
-            Ok(())
-        },
-    );
-}
-
-/// Capacity-capped eviction is deterministic: two caches fed the same key
-/// sequence end in the same state, hit for hit.
-#[test]
-fn memo_eviction_is_deterministic() {
-    check(
-        "memo_eviction_is_deterministic",
-        &gen::vec_of(gen::u64s(..), 1..=300),
-        |keys| {
-            let mut a = MemoCache::new(32);
-            let mut b = MemoCache::new(32);
-            for &k in keys {
-                let va = a.get_or_insert_with(k, || fx_hash64(k));
-                let vb = b.get_or_insert_with(k, || fx_hash64(k));
-                prop_assert_eq!(va, vb);
-            }
-            for &k in keys {
-                prop_assert_eq!(a.get(k), b.get(k));
             }
             Ok(())
         },

@@ -9,15 +9,19 @@
 //! compression (that would be memory compression à la MXT, which the paper
 //! explicitly does not model).
 //!
-//! [`MemoryController`] tracks the stored form of every line that has been
-//! written back, charges the fixed DRAM latency, and counts accesses.
-//! Queueing happens upstream on the [`cmpsim_link::Channel`]; the
-//! per-processor limit of 16 outstanding requests is enforced by the core
-//! model's MSHRs.
+//! In this model the form a line is sent in depends only on the line: its
+//! address (through the workload's value profile), the codec and whether
+//! link compression is on. A writeback therefore stores exactly the form
+//! a later read of the same line would compute, so [`MemoryController`]
+//! keeps no per-line state: a read returns the form its caller computes,
+//! and a write checks the form and counts it. Its footprint is a few
+//! counters however many lines a run touches. It charges the fixed DRAM
+//! latency; queueing happens upstream on the [`cmpsim_link::Channel`],
+//! and the per-processor limit of 16 outstanding requests is enforced by
+//! the core model's MSHRs.
 
 use cmpsim_cache::BlockAddr;
 use cmpsim_fpc::MAX_SEGMENTS;
-use std::collections::HashMap;
 
 /// How a line is stored in DRAM (the ECC-encoded meta bit plus the
 /// segment count implied by its header).
@@ -28,11 +32,6 @@ pub struct StoredForm {
 }
 
 impl StoredForm {
-    /// Uncompressed storage in the shared segment frame.
-    pub fn uncompressed() -> Self {
-        StoredForm { segments: MAX_SEGMENTS }
-    }
-
     /// Whether the ECC bit marks the line compressed (fewer segments than
     /// the shared 8-segment frame).
     pub fn is_compressed(&self) -> bool {
@@ -72,7 +71,6 @@ pub struct MemoryStats {
 #[derive(Debug, Clone)]
 pub struct MemoryController {
     latency: u64,
-    stored: HashMap<BlockAddr, StoredForm>,
     stats: MemoryStats,
 }
 
@@ -80,31 +78,23 @@ impl MemoryController {
     /// A controller with the given fixed access latency in cycles, using
     /// the shared 8-segment line frame.
     pub fn new(latency: u64) -> Self {
-        MemoryController { latency, stored: HashMap::new(), stats: MemoryStats::default() }
-    }
-
-    /// The fixed DRAM access latency.
-    pub fn latency(&self) -> u64 {
-        self.latency
+        MemoryController { latency, stats: MemoryStats::default() }
     }
 
     /// Reads `addr` at time `now`. Returns `(completion_cycle, form)`.
     ///
-    /// If the line was previously written back, its stored form is
-    /// returned verbatim (the ECC bit says whether it is compressed). A
-    /// line never seen before is materialized using `fresh_segments`,
-    /// which the caller computes from the workload's value model (8 when
-    /// link compression is off).
+    /// The line is stored in the form it was sent in, which depends only
+    /// on the line, so `segments` — computed by the caller from the
+    /// workload's value model, 8 when link compression is off — is that
+    /// form (clamped to `1..=MAX_SEGMENTS`); the ECC bit says whether it
+    /// is compressed.
     pub fn read(
         &mut self,
-        addr: BlockAddr,
+        _addr: BlockAddr,
         now: u64,
-        fresh_segments: impl FnOnce() -> u8,
+        segments: impl FnOnce() -> u8,
     ) -> (u64, StoredForm) {
-        let form = *self
-            .stored
-            .entry(addr)
-            .or_insert_with(|| StoredForm { segments: fresh_segments().clamp(1, MAX_SEGMENTS) });
+        let form = StoredForm { segments: segments().clamp(1, MAX_SEGMENTS) };
         self.stats.reads += 1;
         if form.is_compressed() {
             self.stats.compressed_reads += 1;
@@ -117,9 +107,8 @@ impl MemoryController {
     /// # Panics
     ///
     /// Panics if `segments` is 0 or exceeds [`MAX_SEGMENTS`].
-    pub fn write(&mut self, addr: BlockAddr, segments: u8) {
+    pub fn write(&mut self, _addr: BlockAddr, segments: u8) {
         assert!((1..=MAX_SEGMENTS).contains(&segments), "bad segment count");
-        self.stored.insert(addr, StoredForm { segments });
         self.stats.writes += 1;
     }
 
@@ -135,17 +124,12 @@ impl MemoryController {
         extra
     }
 
-    /// The stored form of `addr`, if it has ever been touched.
-    pub fn stored_form(&self, addr: BlockAddr) -> Option<StoredForm> {
-        self.stored.get(&addr).copied()
-    }
-
     /// Access counters.
     pub fn stats(&self) -> &MemoryStats {
         &self.stats
     }
 
-    /// Clears counters (end of warmup), keeping the stored contents.
+    /// Clears counters (end of warmup).
     pub fn reset_stats(&mut self) {
         self.stats = MemoryStats::default();
     }
@@ -163,26 +147,25 @@ mod tests {
     }
 
     #[test]
-    fn fresh_lines_use_provided_form() {
+    fn reads_use_provided_form() {
         let mut mem = MemoryController::new(400);
         let (_, form) = mem.read(BlockAddr(1), 0, || 2);
         assert_eq!(form.segments, 2);
         assert!(form.is_compressed());
-        // Second read must reuse the materialized form, not re-ask.
-        let (_, form2) = mem.read(BlockAddr(1), 0, || 7);
-        assert_eq!(form2.segments, 2);
+        let (_, form) = mem.read(BlockAddr(1), 0, || 8);
+        assert!(!form.is_compressed());
     }
 
     #[test]
-    fn writeback_form_is_preserved() {
+    fn writes_check_the_segment_range() {
         let mut mem = MemoryController::new(400);
-        mem.write(BlockAddr(2), 5);
-        let (_, form) = mem.read(BlockAddr(2), 0, || 8);
-        assert_eq!(form.segments, 5);
-        assert!(form.is_compressed());
-        mem.write(BlockAddr(2), 8);
-        let (_, form) = mem.read(BlockAddr(2), 0, || 1);
-        assert!(!form.is_compressed());
+        mem.write(BlockAddr(2), 1);
+        mem.write(BlockAddr(2), MAX_SEGMENTS);
+        assert_eq!(mem.stats().writes, 2);
+        for bad in [0, MAX_SEGMENTS + 1] {
+            let r = std::panic::catch_unwind(move || MemoryController::new(1).write(BlockAddr(2), bad));
+            assert!(r.is_err(), "{bad} segments must be rejected");
+        }
     }
 
     #[test]
@@ -195,8 +178,7 @@ mod tests {
         assert_eq!(mem.stats().writes, 1);
         assert_eq!(mem.stats().compressed_reads, 1);
         mem.reset_stats();
-        assert_eq!(mem.stats().reads, 0);
-        assert!(mem.stored_form(BlockAddr(0)).is_some(), "contents survive reset");
+        assert_eq!(*mem.stats(), MemoryStats::default());
     }
 
     #[test]

@@ -99,10 +99,12 @@ rm -f "$chaos_a" "$chaos_b"
 echo "== codec-throughput gate (vs BENCH_codec_throughput.json baseline) =="
 # Measures per-codec compress/decompress rates over six line classes and
 # compares them against the committed baseline: print the delta table,
-# fail on any >2x throughput regression, and require the FPC
-# dispatch-table decoder to keep its >=2x speedup over the in-tree
-# scalar reference on zero-heavy lines. The baseline is pinned: CI never
-# overwrites it.
+# fail when any fast-over-reference decode ratio (*/decode_speedup,
+# both sides timed in this process) falls below half its pinned value,
+# and require the FPC dispatch-table decoder to keep its >=2x speedup
+# over the in-tree scalar reference on zero-heavy lines. Absolute rates
+# follow the host's speed and are printed as information only. The
+# baseline is pinned: CI never overwrites it.
 cargo run -q --release --offline --example codec_gate
 
 echo "== serve daemon smoke (two sweeps on stdin share the store) =="
