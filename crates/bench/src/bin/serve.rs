@@ -19,8 +19,9 @@
 //!
 //! Request fields (`workloads`/`variants` are comma-separated lists;
 //! both accept `all`, `variants` defaults to the four headline configs;
-//! `cores` must lie in `1..=32`, `threads` in `1..=4096` and `measure`
-//! be at least 1; `serve --help` lists every field). A request with a
+//! `cores` must lie in `1..=32`, `threads` in `1..=4096`, `warmup` in
+//! `0..=2^62` and `measure` in `1..=2^62`; `serve --help` lists every
+//! field). A request with a
 //! field outside those below, a field given twice, a number sent as a
 //! string (or the reverse) or a value out of range is answered with one
 //! error line naming the field, and runs nothing:
@@ -69,7 +70,7 @@ use cmpsim_core::flatjson::{parse_flat, JsonVal};
 use cmpsim_core::seallog::SealedLog;
 use cmpsim_core::store::{CellKey, ResultStore};
 use cmpsim_core::{journal, CodecKind, SystemConfig, Variant};
-use cmpsim_harness::knobs::MAX_THREADS;
+use cmpsim_harness::knobs::{MAX_INSTRUCTIONS, MAX_THREADS};
 use cmpsim_harness::metrics::{self, Counter, Histogram};
 use cmpsim_harness::supervise::default_threads;
 use cmpsim_harness::{knobs, Supervisor};
@@ -170,8 +171,8 @@ const FIELDS: [(&str, bool, &str); 12] = [
     ("codec", true, "fpc, bdi or zca (default fpc)"),
     ("cores", false, "cores per cell, 1..=32 (default 4)"),
     ("seed", false, "workload seed (default 11)"),
-    ("warmup", false, "warmup instructions per core (default CMPSIM_WARMUP, else 1200000)"),
-    ("measure", false, "measured instructions per core, >= 1 (default CMPSIM_MEASURE, else 600000)"),
+    ("warmup", false, "warmup instructions per core, 0..=2^62 (default CMPSIM_WARMUP, else 1200000)"),
+    ("measure", false, "measured instructions per core, 1..=2^62 (default CMPSIM_MEASURE, else 600000)"),
     ("threads", false, "worker threads, 1..=4096 (default CMPSIM_THREADS, else all cores)"),
     ("metrics", false, "1: answer one registry snapshot instead of a sweep"),
     ("format", true, "with metrics: prometheus for the Prometheus text format"),
@@ -262,6 +263,11 @@ fn parse_request(line: &str) -> Result<Parsed, String> {
     if len.measure == 0 {
         return Err("\"measure\" must be at least 1, got 0".to_string());
     }
+    for (name, n) in [("warmup", len.warmup), ("measure", len.measure)] {
+        if n > MAX_INSTRUCTIONS {
+            return Err(format!("{name:?} must be at most {MAX_INSTRUCTIONS}, got {n}"));
+        }
+    }
     let threads = match num_field("threads") {
         None => default_threads(),
         Some(t @ 1..=MAX_THREADS) => t as usize,
@@ -343,7 +349,7 @@ fn serve_sweep(
          \"resident_bytes\":{}}}",
         req.sweep,
         cells.len(),
-        if served == 0 { 0 } else { hits * 100 / served },
+        (hits * 100).checked_div(served).unwrap_or(0),
         after.corrupt_skipped - before.corrupt_skipped,
         after.published - before.published,
         after.shared_waits - before.shared_waits,
@@ -544,5 +550,116 @@ fn main() {
             let _ = std::fs::remove_file(&path);
             closing_summary(&store);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use cmpsim_core::flatjson::seal;
+    use cmpsim_harness::gen::{pair, select, vec_of};
+    use cmpsim_harness::prop::check;
+
+    const REQUEST: &str = "{\"sweep\":\"s\",\"workloads\":\"apsi,mgrid\",\"variants\":\"base,pf\",\
+        \"codec\":\"bdi\",\"cores\":4,\"seed\":11,\"warmup\":2000,\"measure\":8000,\"threads\":2}";
+
+    /// The leading fields of a sealed store record, as a client might
+    /// paste one into the daemon.
+    fn store_record() -> String {
+        seal("{\"workload\":\"apsi\",\"variant\":\"pf+compr\",\"seed\":11,\"cycles\":987654321".into())
+    }
+
+    /// `parse_request` answers `Err` or a request whose fields lie within
+    /// their bounds; a panic fails the calling test.
+    fn parse_in_bounds(line: &str) -> Result<(), String> {
+        let Ok(Parsed::Sweep(req)) = parse_request(line) else { return Ok(()) };
+        let in_bounds = (1..=SystemConfig::MAX_CORES).contains(&req.base.cores)
+            && (1..=MAX_INSTRUCTIONS).contains(&req.len.measure)
+            && req.len.warmup <= MAX_INSTRUCTIONS
+            && (1..=MAX_THREADS as usize).contains(&req.threads);
+        if in_bounds {
+            return Ok(());
+        }
+        Err(format!("{line}: cores {}, {:?}, threads {}", req.base.cores, req.len, req.threads))
+    }
+
+    #[test]
+    fn every_prefix_and_byte_substitution_parses_in_bounds() {
+        assert!(matches!(parse_request(REQUEST), Ok(Parsed::Sweep(_))));
+        for full in [REQUEST.to_string(), store_record()] {
+            for cut in 0..full.len() {
+                assert!(parse_request(&full[..cut]).is_err(), "{:?}", &full[..cut]);
+            }
+            for at in 0..full.len() {
+                for b in 0..0x80u8 {
+                    let mut bytes = full.clone().into_bytes();
+                    bytes[at] = b;
+                    parse_in_bounds(&String::from_utf8(bytes).unwrap()).unwrap();
+                }
+            }
+        }
+    }
+
+    /// Lengths past `MAX_INSTRUCTIONS` used to wrap the engine's quotas
+    /// (a daemon answered 0 measured instructions); numbers past `u64`
+    /// do not parse at all.
+    #[test]
+    fn long_numbers_are_rejected_or_in_bounds() {
+        let pinned = [
+            ("warmup", "18446744073709551615", Some("\"warmup\" must be at most 4611686018427387904")),
+            ("measure", "4611686018427387905", Some("\"measure\" must be at most 4611686018427387904")),
+            ("measure", "4611686018427387904", None),
+            ("warmup", "4611686018427387904", None),
+            ("threads", "18446744073709551615", Some("\"threads\" must be in 1..=4096")),
+            ("cores", "18446744073709551615", Some("\"cores\" must be in 1..=32")),
+            ("measure", "18446744073709551616", Some("not a flat JSON object")),
+        ];
+        for (field, n, want) in pinned {
+            let line = format!("{{\"workloads\":\"apsi\",\"{field}\":{n}}}");
+            match (parse_request(&line), want) {
+                (Err(e), Some(want)) => assert!(e.starts_with(want), "{line}: {e}"),
+                (Ok(Parsed::Sweep(_)), None) => {}
+                (got, _) => panic!("{line}: got {:?}", got.err()),
+            }
+        }
+        for field in ["cores", "seed", "warmup", "measure", "threads", "metrics", "shutdown"] {
+            for n in 20..=40 {
+                for d in ["9".repeat(n), format!("1{}", "0".repeat(n - 1)), format!("{}7", "0".repeat(n - 1))] {
+                    parse_in_bounds(&format!("{{\"workloads\":\"apsi\",\"{field}\":{d}}}")).unwrap();
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_are_rejected() {
+        for field in ["workloads", "measure", "metrics"] {
+            let line = format!("{{\"workloads\":\"apsi\",\"measure\":5,\"metrics\":0,\"{field}\":{}}}",
+                if field == "workloads" { "\"mgrid\"" } else { "7" });
+            assert_eq!(parse_request(&line).err(), Some(format!("duplicate field {field:?}")));
+        }
+    }
+
+    #[test]
+    fn random_json_like_requests_parse_in_bounds() {
+        let tokens = [
+            "{", "}", "\"", ":", ",", " ", "0", "1", "7", "\"workloads\"", "\"apsi\"", "\"all\"",
+            "\"cores\"", "\"measure\"", "\"warmup\"", "\"threads\"", "\"metrics\"", "\"shutdown\"",
+            "\"variants\"", "\"codec\"", "\"bdi\"", "4611686018427387905", "18446744073709551615",
+        ];
+        check("serve_requests_parse_in_bounds", &vec_of(select(tokens.to_vec()), 0..24), |parts| {
+            parse_in_bounds(&parts.concat())
+        });
+        // Well-formed objects of known and unknown keys reach the bounds.
+        let keys: Vec<&str> = FIELDS.iter().map(|(name, ..)| *name).chain(["measur"]).collect();
+        let values = [
+            "\"apsi\"", "\"all\"", "\"base,pf\"", "\"zca\"", "\"\"", "0", "1", "2", "32", "33",
+            "4096", "4097", "4611686018427387904", "4611686018427387905", "18446744073709551615",
+        ];
+        let gen = vec_of(pair(select(keys), select(values.to_vec())), 0..6);
+        check("serve_objects_parse_in_bounds", &gen, |kvs| {
+            let body: Vec<String> = kvs.iter().map(|(k, v)| format!("\"{k}\":{v}")).collect();
+            parse_in_bounds(&format!("{{\"workloads\":\"apsi\",{}}}", body.join(",")))
+        });
     }
 }

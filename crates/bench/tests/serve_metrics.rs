@@ -231,6 +231,12 @@ fn out_of_range_fields_are_rejected_before_any_cell_runs() {
         ("\"cores\":0,\"measure\":4000", "'cores' must be in 1..=32, got 0"),
         ("\"cores\":40,\"measure\":4000", "'cores' must be in 1..=32, got 40"),
         ("\"cores\":2,\"measure\":0", "'measure' must be at least 1, got 0"),
+        // Past 2^62 the engine's quota arithmetic wrapped: the daemon
+        // answered 0 measured instructions and published the cell.
+        (
+            "\"cores\":2,\"measure\":18446744073709551615",
+            "'measure' must be at most 4611686018427387904, got 18446744073709551615",
+        ),
         ("\"cores\":\"40\",\"measure\":4000", "'cores' must be a number"),
         ("\"cores\":2,\"measur\":0", "unknown field 'measur'"),
         ("\"cores\":2,\"measure\":4000,\"workloads\":\"mgrid\"", "duplicate field 'workloads'"),

@@ -30,7 +30,7 @@ impl SetAssocConfig {
     /// sets.
     pub fn with_capacity(bytes: usize, ways: usize) -> Self {
         let lines = bytes / cmpsim_fpc::LINE_BYTES;
-        assert!(ways > 0 && lines % ways == 0, "capacity/ways mismatch");
+        assert!(ways > 0 && lines.is_multiple_of(ways), "capacity/ways mismatch");
         let sets = lines / ways;
         assert!(sets.is_power_of_two(), "set count {sets} must be a power of two");
         SetAssocConfig { sets, ways }

@@ -695,7 +695,7 @@ mod tests {
             match x % 5 {
                 0..=2 => {
                     let segs = (x / 7 % 8 + 1) as u8;
-                    c.fill(addr, segs, x % 2 == 0, step as u32);
+                    c.fill(addr, segs, x.is_multiple_of(2), step as u32);
                 }
                 3 => {
                     c.invalidate(addr);

@@ -31,7 +31,7 @@ fn apply_to_model(model: &mut [MsiState], core: CoreId, req: L1Request, actions:
 fn legal_request(state: MsiState, choice: u8) -> L1Request {
     match state {
         MsiState::Invalid => {
-            if choice % 2 == 0 {
+            if choice.is_multiple_of(2) {
                 L1Request::GetS
             } else {
                 L1Request::GetX

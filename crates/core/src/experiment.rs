@@ -444,7 +444,7 @@ impl Sweep {
                 Lease::Hit(result) => {
                     self.cached(idx, spec.name, variant, &result);
                     self.metrics.queue_depth.sub(1);
-                    return Ok(result);
+                    return Ok(*result);
                 }
                 Lease::Compute(l) => lease = Some(l),
             }

@@ -70,7 +70,7 @@ pub fn check_seal(line: &str) -> Result<&str, String> {
     let hex = tail.strip_suffix("\"}").ok_or_else(|| "malformed crc field".to_string())?;
     let recorded =
         u32::from_str_radix(hex, 16).map_err(|_| "malformed crc field".to_string())?;
-    let actual = fnv32(line[..pos].as_bytes());
+    let actual = fnv32(&line.as_bytes()[..pos]);
     if actual != recorded {
         return Err(format!("crc mismatch (recorded {recorded:08x}, computed {actual:08x})"));
     }
@@ -152,6 +152,109 @@ pub fn parse_flat(line: &str) -> Option<Vec<(String, JsonVal)>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::Variant;
+    use crate::stats::{RunResult, SimStats};
+    use cmpsim_harness::gen::{select, vec_of};
+    use cmpsim_harness::prop::check;
+
+    /// A sealed store record, as the result store appends it.
+    fn store_record() -> String {
+        let result = RunResult {
+            stats: SimStats { instructions: 1_200_000, mem_reads: 31, ..SimStats::default() },
+            cycles: 987_654_321,
+            clock_ghz: 5,
+            events: 4_242,
+            retired: 2_400_000,
+            host_nanos: 7,
+        };
+        seal(crate::journal::entry_body("apsi", Variant::PrefetchCompression, 11, &result))
+    }
+
+    /// A serve request with every sweep field set.
+    const REQUEST: &str = "{\"sweep\":\"s\",\"workloads\":\"apsi,mgrid\",\
+        \"variants\":\"base,pf\",\"codec\":\"bdi\",\"cores\":4,\"seed\":11,\
+        \"warmup\":2000,\"measure\":8000,\"threads\":2}";
+
+    type Fields = Vec<(String, JsonVal)>;
+
+    /// Feeds `line` to every reader; each returns `None`, `Err` or a
+    /// value, and a panic fails the calling test.
+    fn read_all(line: &str) -> (Option<Fields>, Result<Fields, String>) {
+        let _ = check_seal(line);
+        (parse_flat(line), unseal(line))
+    }
+
+    #[test]
+    fn every_strict_prefix_is_rejected() {
+        for full in [store_record(), REQUEST.to_string()] {
+            assert!(parse_flat(&full).is_some(), "{full}");
+            for cut in 0..full.len() {
+                let prefix = &full[..cut];
+                let (flat, sealed) = read_all(prefix);
+                assert_eq!(flat, None, "{prefix:?}");
+                assert!(check_seal(prefix).is_err() && sealed.is_err(), "{prefix:?}");
+            }
+        }
+    }
+
+    /// Each byte of both lines replaced by each byte of a JSON-significant
+    /// alphabet. FNV-1a changes with any one byte, so a substituted sealed
+    /// record unseals only when the change leaves its fields alone (a hex
+    /// digit of the crc changing case).
+    #[test]
+    fn single_byte_substitutions_never_unseal_different_fields() {
+        let record = store_record();
+        let fields = unseal(&record).unwrap();
+        for full in [record, REQUEST.to_string()] {
+            for at in 0..full.len() {
+                for &b in b"{}\":,\\ -.0159aAfFx\x00\x7f" {
+                    let mut bytes = full.clone().into_bytes();
+                    bytes[at] = b;
+                    let line = String::from_utf8(bytes).unwrap();
+                    if let (_, Ok(got)) = read_all(&line) {
+                        assert_eq!(got, fields, "{line}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn long_numbers_parse_only_within_u64() {
+        let mut digits: Vec<String> = (20..=40)
+            .flat_map(|n| ["9".repeat(n), format!("1{}", "0".repeat(n - 1)), format!("{}7", "0".repeat(n - 1))])
+            .collect();
+        digits.extend([u64::MAX.to_string(), "18446744073709551616".to_string()]);
+        for d in digits {
+            let line = format!("{{\"measure\":{d}}}");
+            let want = d.parse::<u64>().ok().map(|n| vec![("measure".to_string(), JsonVal::Num(n))]);
+            assert_eq!(read_all(&line).0, want, "{line}");
+            let sealed = seal(format!("{{\"measure\":{d}"));
+            assert_eq!(unseal(&sealed).ok(), want, "{sealed}");
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_are_kept_in_order() {
+        let want = vec![("a".to_string(), JsonVal::Num(1)), ("a".to_string(), JsonVal::Str("x".into()))];
+        assert_eq!(parse_flat("{\"a\":1,\"a\":\"x\"}"), Some(want.clone()));
+        assert_eq!(unseal(&seal("{\"a\":1,\"a\":\"x\"".to_string())), Ok(want));
+    }
+
+    #[test]
+    fn random_json_like_strings_never_panic() {
+        let tokens = [
+            "{", "}", "\"", ":", ",", "\\", " ", "0", "7", "a", "é", "\"k\"", "\"crc\"",
+            ",\"crc\":\"", "ffffffff", "18446744073709551616", "\n",
+        ];
+        let gen = vec_of(select(tokens.to_vec()), 0..48);
+        check("flatjson_readers_never_panic", &gen, |parts| {
+            let line = parts.concat();
+            let _ = read_all(&line);
+            let _ = read_all(&seal(line));
+            Ok(())
+        });
+    }
 
     #[test]
     fn parses_flat_objects() {

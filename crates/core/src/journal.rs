@@ -153,7 +153,7 @@ impl Journal {
         };
         for rec in scan.records {
             match decode_fields(rec.fields) {
-                Ok(Decoded::Entry(e)) => snap.entries.push(e),
+                Ok(Decoded::Entry(e)) => snap.entries.push(*e),
                 Ok(Decoded::Failure { workload, variant, seed }) => {
                     *snap.failures.entry((workload, variant, seed)).or_insert(0) += 1;
                 }
@@ -358,7 +358,7 @@ pub(crate) fn failure_body(workload: &str, variant: Variant, seed: u64, error: &
 /// One checksum-verified journal record.
 #[derive(Debug)]
 pub(crate) enum Decoded {
-    Entry(JournalEntry),
+    Entry(Box<JournalEntry>),
     Failure { workload: String, variant: Variant, seed: u64 },
 }
 
@@ -376,7 +376,7 @@ fn decode_fields(fields: Vec<(String, JsonVal)>) -> Result<Decoded, String> {
         return Ok(Decoded::Failure { workload, variant, seed });
     }
     entry_from(&map)
-        .map(Decoded::Entry)
+        .map(|e| Decoded::Entry(Box::new(e)))
         .ok_or_else(|| "missing or malformed cell field".to_string())
 }
 
@@ -677,7 +677,7 @@ mod tests {
         };
         let line = encode_entry(&e);
         assert!(check_seal(&line).is_ok());
-        assert!(matches!(decode_line(&line), Ok(Decoded::Entry(back)) if back == e));
+        assert!(matches!(decode_line(&line), Ok(Decoded::Entry(back)) if *back == e));
         // Flip one digit in the middle of the record: the crc catches it.
         let mangled = line.replacen(":1,", ":7,", 1);
         assert_ne!(mangled, line);

@@ -736,7 +736,7 @@ mod tests {
             for line in bytes.split(|&b| b == b'\n') {
                 let Ok(text) = std::str::from_utf8(line) else { continue };
                 match journal::decode_line(text) {
-                    Ok(Decoded::Entry(e)) if !entries.contains(&e) => {
+                    Ok(Decoded::Entry(e)) if !entries.contains(&*e) => {
                         return Err(format!("decoded an entry that was never written: {e:?}"));
                     }
                     Ok(Decoded::Failure { workload, variant, seed })

@@ -137,7 +137,7 @@ impl StoreStats {
 pub enum Lease {
     /// The cell exists (or was just published by another sweep we waited
     /// on); here is its bit-identical result.
-    Hit(RunResult),
+    Hit(Box<RunResult>),
     /// The cell is missing and this caller owns computing it. Publish
     /// through the guard; dropping it unpublished releases the claim so
     /// a waiting sweep computes instead.
@@ -341,7 +341,7 @@ impl ResultStore {
                     self.metrics.shared_waits.inc();
                     self.metrics.lease_wait_nanos.record_elapsed(t0);
                 }
-                return Lease::Hit(r);
+                return Lease::Hit(Box::new(r));
             }
             if inner.pending.contains_key(&(fp, key.clone())) {
                 wait_start.get_or_insert_with(Instant::now);
@@ -699,7 +699,7 @@ mod tests {
             let store = Arc::clone(&store);
             let key = key.clone();
             std::thread::spawn(move || match store.lease(0x4, &key) {
-                Lease::Hit(r) => r,
+                Lease::Hit(r) => *r,
                 Lease::Compute(_) => panic!("waiter must be served the published result"),
             })
         };
@@ -745,7 +745,7 @@ mod tests {
             .filter(|e| e.file_name().to_string_lossy() != "lru.jsonl")
             .map(|e| e.metadata().unwrap().len())
             .sum();
-        assert!(total <= one_file * 2 - 1, "size bound respected: {total}");
+        assert!(total < one_file * 2, "size bound respected: {total}");
         // Evicted cells are misses (recompute), kept cells are hits.
         assert_eq!(store.get(0xa, &CellKey::new("apsi", Variant::Base, 1)), None);
         assert_eq!(

@@ -24,7 +24,7 @@ use cmpsim_coherence::{
 };
 use cmpsim_fpc::MAX_SEGMENTS;
 use cmpsim_harness::chaos::{FaultPlan, FaultSite};
-use cmpsim_harness::fastmap::{fx_hash64, AddrMap};
+use cmpsim_harness::fastmap::AddrMap;
 use cmpsim_harness::knobs;
 use cmpsim_harness::telemetry::{self as harness_telemetry, FlightRecorder, Record};
 use cmpsim_link::{Channel, Message};
@@ -44,10 +44,6 @@ const BANK_OCCUPANCY: u64 = 2;
 /// many dispatched events (checks are linear in the L2, so sampling keeps
 /// the overhead to a few percent).
 const INVARIANT_SAMPLE_PERIOD: u64 = 2048;
-/// Slots in the segment-size memo, which caches the configured codec's
-/// sizing of each line (see [`memo_segments`]). 64 Ki slots cover a
-/// 4 MB L2 with headroom for link-only traffic.
-const SEG_MEMO_SLOTS: usize = 1 << 16;
 /// Detected-corruption strikes before a line is quarantined to
 /// uncompressed storage (chaos runs only).
 const QUARANTINE_STRIKES: u8 = 3;
@@ -107,7 +103,9 @@ enum Event {
     L2Access { core: u8, addr: BlockAddr, store: bool, upgrade: bool, origin: Origin, l1: L1Kind },
     LinkRequest { addr: BlockAddr, attempt: u8 },
     MemResponse { addr: BlockAddr, attempt: u8 },
-    L2Fill { addr: BlockAddr },
+    /// `sized` is the segment count the memory response computed for the
+    /// link, or 0 when link compression is off and nothing sized the line.
+    L2Fill { addr: BlockAddr, sized: u8 },
     L1Fill { core: u8, l1: L1Kind, addr: BlockAddr, prefetched: bool, store: bool },
 }
 
@@ -144,9 +142,6 @@ impl L2Mshr {
 pub struct System {
     cfg: SystemConfig,
     values: cmpsim_trace::ValueProfile,
-    /// The segment-size memo, [`SEG_MEMO_SLOTS`] packed slots read and
-    /// written only by [`memo_segments`].
-    seg_memo: Vec<u64>,
     /// The configured codec's sizing function, resolved once from
     /// [`CodecKind::segments_fn`] at construction so the hot path is a
     /// direct indirect call with no per-line enum dispatch.
@@ -261,7 +256,6 @@ impl System {
         let codec_decomp = cfg.codec.decompression_latency(cfg.decompression_latency);
         let mut sys = System {
             values,
-            seg_memo: vec![0; SEG_MEMO_SLOTS],
             codec_segments,
             codec_image,
             codec_decomp,
@@ -490,6 +484,12 @@ impl System {
     /// - [`SimError::InvariantViolation`] if sampled structural checks
     ///   are enabled (`cfg.check_invariants` / `CMPSIM_CHECK=1`) and one
     ///   fails.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `measure_per_core` is 0, or if either length exceeds
+    /// [`knobs::MAX_INSTRUCTIONS`], past which the per-core quotas could
+    /// wrap.
     pub fn run(
         &mut self,
         warmup_per_core: u64,
@@ -509,6 +509,11 @@ impl System {
         measure_per_core: u64,
     ) -> Result<RunResult, SimError> {
         assert!(measure_per_core > 0, "nothing to measure");
+        let max = knobs::MAX_INSTRUCTIONS;
+        assert!(
+            warmup_per_core <= max && measure_per_core <= max,
+            "a run of {warmup_per_core} + {measure_per_core} instructions per core exceeds the bound of {max}"
+        );
         let host_start = Instant::now();
         self.warmup_per_core = warmup_per_core;
         self.measure_per_core = measure_per_core;
@@ -538,7 +543,7 @@ impl System {
             if let Some(err) = self.pending_fault_error.take() {
                 return Err(err);
             }
-            if self.cfg.check_invariants && self.dispatched % INVARIANT_SAMPLE_PERIOD == 0 {
+            if self.cfg.check_invariants && self.dispatched.is_multiple_of(INVARIANT_SAMPLE_PERIOD) {
                 self.check_invariants_now()?;
             }
         }
@@ -760,6 +765,7 @@ impl System {
     fn collect(&mut self, host_nanos: u64) -> RunResult {
         self.stats.link = *self.link.stats();
         self.stats.mem_reads = self.mem.stats().reads;
+        self.stats.mem_writes = self.mem.stats().writes;
         self.stats.faults.mem_stall_bursts = self.mem.stats().stall_bursts;
         self.stats.faults.mem_stall_cycles = self.mem.stats().stall_cycles;
         let finish = self
@@ -791,7 +797,7 @@ impl System {
             }
             Event::LinkRequest { addr, attempt } => self.handle_link_request(addr, attempt),
             Event::MemResponse { addr, attempt } => self.handle_mem_response(addr, attempt),
-            Event::L2Fill { addr } => self.handle_l2_fill(addr),
+            Event::L2Fill { addr, sized } => self.handle_l2_fill(addr, sized),
             Event::L1Fill { core, l1, addr, prefetched, store } => {
                 self.handle_l1_fill(usize::from(core), l1, addr, prefetched, store)
             }
@@ -801,15 +807,13 @@ impl System {
     // ------------------------------------------------------------ helpers
 
     /// Configured codec's segment count of a line's (deterministic)
-    /// contents, memoized in `seg_memo`.
-    fn segments_of(&mut self, addr: BlockAddr) -> u8 {
-        let values = &self.values;
-        let sizer = self.codec_segments;
-        memo_segments(&mut self.seg_memo, addr.0, || sizer(&values.line_bytes(addr.0)))
+    /// contents.
+    fn segments_of(&self, addr: BlockAddr) -> u8 {
+        (self.codec_segments)(&self.values.line_bytes(addr.0))
     }
 
     /// Segments a data message for `addr` occupies on the link.
-    fn link_segments(&mut self, addr: BlockAddr) -> u8 {
+    fn link_segments(&self, addr: BlockAddr) -> u8 {
         if self.cfg.link_compression {
             self.segments_of(addr)
         } else {
@@ -817,10 +821,11 @@ impl System {
         }
     }
 
-    /// Segments `addr` occupies when stored in the L2. A line quarantined
-    /// by the fault-recovery path (chaos runs only) is pinned to
-    /// uncompressed storage regardless of policy.
-    fn store_segments(&mut self, addr: BlockAddr) -> u8 {
+    /// Segments `addr` occupies when stored in the L2, reusing `sized`
+    /// (the fill's carried size, 0 if none) so a fetched line is sized
+    /// once. A line quarantined by the fault-recovery path (chaos runs
+    /// only) is pinned to uncompressed storage regardless of policy.
+    fn store_segments(&self, addr: BlockAddr, sized: u8) -> u8 {
         if self.chaos.is_some() && self.quarantined_lines.contains(&addr.0) {
             return MAX_SEGMENTS;
         }
@@ -828,7 +833,7 @@ impl System {
             let compress = !self.cfg.adaptive_compression
                 || self.policy.decision() == CompressionDecision::Compress;
             if compress {
-                return self.segments_of(addr);
+                return if sized == 0 { self.segments_of(addr) } else { sized };
             }
         }
         MAX_SEGMENTS
@@ -1155,7 +1160,7 @@ impl System {
 
         if origin == Origin::Demand {
             self.l2_demand_accesses += 1;
-            if self.l2.is_vsc() && self.l2_demand_accesses % CAPACITY_SAMPLE_PERIOD == 0 {
+            if self.l2.is_vsc() && self.l2_demand_accesses.is_multiple_of(CAPACITY_SAMPLE_PERIOD) {
                 self.stats.capacity_ratio_sum += self.l2.capacity_ratio();
                 self.stats.capacity_ratio_samples += 1;
             }
@@ -1329,6 +1334,8 @@ impl System {
 
     fn handle_mem_response(&mut self, addr: BlockAddr, attempt: u8) {
         let sent = self.link_segments(addr);
+        // The link's size rides on to the L2 fill (0: not sized).
+        let sized = if self.cfg.link_compression { sent } else { 0 };
         let (_, form) = self.mem.read(addr, self.now, || sent);
         let for_prefetch = self.l2_mshrs.get(addr.0).is_none_or(L2Mshr::for_prefetch);
         let msg = Message::data_response(addr, form.segments, for_prefetch);
@@ -1357,7 +1364,7 @@ impl System {
                 if intact {
                     // Unreachable for single-bit faults; accept the fill.
                     self.trace_event(TraceKind::LinkFlit, 0, 1, msg.size_bytes() as u32, addr.0);
-                    self.schedule(tr.done, Event::L2Fill { addr });
+                    self.schedule(tr.done, Event::L2Fill { addr, sized });
                     return;
                 }
                 self.retransmit(FaultSite::LinkData, addr, attempt, tr.done, |attempt| {
@@ -1368,7 +1375,7 @@ impl System {
         }
         let tr = self.link.send(self.now, &msg);
         self.trace_event(TraceKind::LinkFlit, 0, 1, msg.size_bytes() as u32, addr.0);
-        self.schedule(tr.done, Event::L2Fill { addr });
+        self.schedule(tr.done, Event::L2Fill { addr, sized });
     }
 
     /// Codec-corruption injection site (chaos runs only): a resident
@@ -1427,10 +1434,10 @@ impl System {
         );
     }
 
-    fn handle_l2_fill(&mut self, addr: BlockAddr) {
+    fn handle_l2_fill(&mut self, addr: BlockAddr, sized: u8) {
         let Some(mshr) = self.l2_mshrs.remove(addr.0) else { return };
         let prefetched_fill = mshr.for_prefetch();
-        let seg_store = self.store_segments(addr);
+        let seg_store = self.store_segments(addr, sized);
         let mut evicted = std::mem::take(&mut self.l2_evicted);
         self.l2.fill(addr, seg_store, prefetched_fill, DirEntry::new(), &mut evicted);
         if prefetched_fill {
@@ -1504,7 +1511,6 @@ impl System {
         self.link.send(self.now, &msg);
         self.trace_event(TraceKind::LinkFlit, 0, 2, msg.size_bytes() as u32, addr.0);
         self.mem.write(addr, seg);
-        self.stats.mem_writes += 1;
         self.trace_event(TraceKind::MemWrite, 0, 0, u32::from(seg), addr.0);
     }
 
@@ -1739,61 +1745,17 @@ impl System {
     }
 }
 
-/// The segment-size memo's one access path. `memo` is a direct-mapped
-/// table (its length a power of two) of packed `addr << 4 | segments`
-/// slots, where 0 marks an empty slot because a line is never 0
-/// segments. A colliding line overwrites the slot and a later miss just
-/// recomputes, which is safe because the size is a pure function of the
-/// address for the system's fixed codec. An address of 2^60 or more
-/// would alias a lower one under the shift, so it skips the memo. The
-/// table starts as `vec![0; n]`, so slots a run never reaches cost no
-/// resident memory.
-fn memo_segments(memo: &mut [u64], addr: u64, size: impl FnOnce() -> u8) -> u8 {
-    debug_assert!(memo.len().is_power_of_two(), "memo length must be a power of two");
-    if addr >> 60 != 0 {
-        return size();
-    }
-    let slot = &mut memo[fx_hash64(addr) as usize & (memo.len() - 1)];
-    if *slot != 0 && *slot >> 4 == addr {
-        return (*slot & 0xF) as u8;
-    }
-    let segments = size();
-    debug_assert!((1..16).contains(&segments), "{segments} segments do not pack");
-    *slot = addr << 4 | u64::from(segments);
-    segments
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// A measure quota near `u64::MAX` used to wrap in `begin_measure`:
+    /// release builds measured 0 instructions and returned `Ok`.
     #[test]
-    fn memo_gives_every_line_its_own_size() {
-        const SLOTS: usize = 16;
-        let size = |addr: u64| (addr % 7 + 1) as u8;
-        let slot = |addr: u64| fx_hash64(addr) as usize & (SLOTS - 1);
-        let mut memo = vec![0u64; SLOTS];
-        let mut read = |addr: u64| {
-            let mut sized = false;
-            let got = memo_segments(&mut memo, addr, || {
-                sized = true;
-                size(addr)
-            });
-            (got, sized)
-        };
-
-        // `a` and `high` share a slot, and `high << 4` equals `a << 4`.
-        let a = (1..).find(|&a| slot(a) == slot(a | 1 << 60)).expect("a shared slot");
-        let high = a | 1 << 60;
-        let b = (a + 1..).find(|&b| slot(b) == slot(a) && size(b) != size(a)).expect("a collider");
-        assert_eq!(read(a), (size(a), true));
-        assert_eq!(read(a), (size(a), false), "a memo hit");
-        assert_eq!(read(b), (size(b), true), "a collider is sized, not served a's size");
-        assert_eq!(read(a), (size(a), true), "the evicted line is sized again");
-        assert_ne!(size(high), size(a));
-        for _ in 0..2 {
-            assert_eq!(read(high), (size(high), true), "a line at 2^60 or above skips the memo");
-        }
-        assert_eq!(read(a), (size(a), false), "the high line left a's slot alone");
+    #[should_panic(expected = "exceeds the bound of 4611686018427387904")]
+    fn run_lengths_past_the_instruction_bound_are_refused() {
+        let spec = cmpsim_trace::workload("apsi").expect("paper workload");
+        let mut sys = System::new(SystemConfig::paper_default(1), &spec);
+        let _ = sys.run(1_000, u64::MAX - 5);
     }
 }

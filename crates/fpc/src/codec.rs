@@ -116,9 +116,10 @@ impl Codec for Fpc {
 /// The enum exists only at configuration time; per-line sizing goes
 /// through [`CodecKind::segments_fn`], which returns the selected codec's
 /// monomorphized `Codec::segments` as a `fn` pointer resolved once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash)]
 pub enum CodecKind {
     /// Frequent Pattern Compression (the paper's codec; the default).
+    #[default]
     Fpc,
     /// Base-delta-immediate.
     Bdi,
@@ -180,12 +181,6 @@ impl CodecKind {
     }
 }
 
-impl Default for CodecKind {
-    fn default() -> Self {
-        CodecKind::Fpc
-    }
-}
-
 impl std::fmt::Display for CodecKind {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.write_str(self.label())
@@ -221,7 +216,7 @@ mod tests {
         let mut lines = vec![[0u8; LINE_BYTES], [0x7Fu8; LINE_BYTES]];
         let mut mixed = [0u8; LINE_BYTES];
         for (i, b) in mixed.iter_mut().enumerate() {
-            *b = (i as u8).wrapping_mul(37) | u8::from(i % 3 == 0) * 0x80;
+            *b = (i as u8).wrapping_mul(37) | (u8::from(i % 3 == 0) * 0x80);
         }
         lines.push(mixed);
         for kind in CodecKind::all() {

@@ -8,7 +8,7 @@
 //!    the original bytes. Compression is a storage optimization, never a
 //!    lossy transform.
 //! 2. **Sizing agreement** — the fast segment-count path (what the engine
-//!    memoizes per address) equals the segment count of the full
+//!    charges each fetched line) equals the segment count of the full
 //!    compressed representation, and stays in `1..=max_segments`.
 //! 3. **Zero-fill monotonicity** — zeroing any set of aligned 8-byte
 //!    chunks never *increases* the segment count. Zeros are the most
@@ -54,12 +54,15 @@ pub struct CodecSpec<const N: usize> {
     /// Full path: compress then decompress, returning the compressed
     /// segment count and the reconstructed line.
     pub round_trip: fn(&[u8; N]) -> (u8, [u8; N]),
-    /// Fast sizing path (the one the engine memoizes).
+    /// Fast sizing path (the one the engine calls).
     pub segments: fn(&[u8; N]) -> u8,
     /// Both decoders over the compressed form of the line: the
     /// production fast path first, the scalar reference oracle second.
-    pub decode_pair: fn(&[u8; N]) -> ([u8; N], [u8; N]),
+    pub decode_pair: DecodePair<N>,
 }
+
+/// Both decoders of a line's compressed form: fast path, then reference.
+pub type DecodePair<const N: usize> = fn(&[u8; N]) -> ([u8; N], [u8; N]);
 
 /// Zeroes the 8-byte chunks of `line` selected by `mask` (bit `i` covers
 /// bytes `8i..8i+8`).
@@ -77,7 +80,7 @@ fn zero_chunks<const N: usize>(line: &[u8; N], mask: u32) -> [u8; N] {
 /// compressibility landscape, shrinks by zeroing whole 8-byte chunks
 /// (then whole lines), so minimal counterexamples are mostly zero.
 pub fn line_gen<const N: usize>() -> Gen<[u8; N]> {
-    assert!(N >= 8 && N % 8 == 0, "line size must be a positive multiple of 8");
+    assert!(N >= 8 && N.is_multiple_of(8), "line size must be a positive multiple of 8");
     let sample = move |rng: &mut Rng| -> [u8; N] {
         let mut line = [0u8; N];
         match rng.below(6) {
@@ -220,7 +223,7 @@ pub fn check_conformance<const N: usize>(spec: &CodecSpec<N>) {
 /// Panics on the first disagreeing mask, or if `N` is not a multiple of 4
 /// or exceeds 64 bytes (larger lines would make the sweep infeasible).
 pub fn check_decode_zero_mask_sweep<const N: usize>(spec: &CodecSpec<N>, filler: u32) {
-    assert!(N % 4 == 0 && N <= 64, "sweep is exhaustive over N/4 word-mask bits");
+    assert!(N.is_multiple_of(4) && N <= 64, "sweep is exhaustive over N/4 word-mask bits");
     let words = N / 4;
     for mask in 0u32..1 << words {
         let mut line = [0u8; N];

@@ -4,9 +4,7 @@
 //! cryptographic hash that costs tens of cycles per lookup and whose
 //! per-process random key makes iteration order vary run to run. The
 //! engine's inner loop does map operations per simulated event (MSHR
-//! lookups on every L1/L2 miss, and the segment-size memo hashes with
-//! [`fx_hash64`] on every fill and link transfer), so both costs matter
-//! here:
+//! lookups on every L1/L2 miss), so both costs matter here:
 //!
 //! - [`fx_hash64`] — an FxHash-style multiplicative hash over one `u64`
 //!   (one multiply plus a fold), the same family rustc uses internally.

@@ -14,10 +14,13 @@ use crate::Rng;
 use std::ops::{Bound, RangeBounds};
 use std::rc::Rc;
 
+/// Proposes strictly-simpler candidates for a value.
+type Shrink<T> = Rc<dyn Fn(&T) -> Vec<T>>;
+
 /// A reusable generator: sampling plus shrinking for values of type `T`.
 pub struct Gen<T> {
     sample: Rc<dyn Fn(&mut Rng) -> T>,
-    shrink: Rc<dyn Fn(&T) -> Vec<T>>,
+    shrink: Shrink<T>,
 }
 
 impl<T> Clone for Gen<T> {
@@ -325,7 +328,7 @@ mod tests {
     fn int_shrink_moves_toward_lower_bound() {
         let g = u64s(3..100);
         for cand in g.shrinks(&50) {
-            assert!(cand < 50 && cand >= 3);
+            assert!((3..50).contains(&cand));
         }
         assert!(g.shrinks(&3).is_empty(), "lower bound is already minimal");
     }

@@ -89,6 +89,12 @@ const MAX_CASES: u64 = 1_000_000;
 /// `CMPSIM_THREADS` or a `serve` request's `threads` field.
 pub const MAX_THREADS: u64 = 4096;
 
+/// The longest warmup or measure length, in instructions per core, that
+/// a run may ask for through `CMPSIM_WARMUP`, `CMPSIM_MEASURE` or a
+/// `serve` request. The engine adds a core's retired count to the
+/// measure length, and below this bound that sum cannot wrap.
+pub const MAX_INSTRUCTIONS: u64 = 1 << 62;
+
 /// Every knob, in the order [`help`] lists them.
 #[rustfmt::skip]
 static KNOBS: [Knob; 15] = [
@@ -98,10 +104,10 @@ static KNOBS: [Knob; 15] = [
     knob("CMPSIM_CELL_DEADLINE_MS", "off", "abandon a grid cell that runs longer",
         Millis { min: 1, max: 86_400_000, set: |k, d| k.cell_deadline = Some(d) }),
     knob("CMPSIM_WARMUP", "per program", "warmup instructions per core",
-        Count { min: 0, max: u64::MAX, set: |k, n| k.warmup = Some(n) }),
+        Count { min: 0, max: MAX_INSTRUCTIONS, set: |k, n| k.warmup = Some(n) }),
     // Zero measures nothing, which the engine refuses.
     knob("CMPSIM_MEASURE", "per program", "measured instructions per core",
-        Count { min: 1, max: u64::MAX, set: |k, n| k.measure = Some(n) }),
+        Count { min: 1, max: MAX_INSTRUCTIONS, set: |k, n| k.measure = Some(n) }),
     knob("CMPSIM_CHECK", "0", "sampled invariant checks", Flag(|k, on| k.check = on)),
     knob("CMPSIM_CHAOS", "off", "seeded fault injection, rate in [0, 1]",
         Chaos(|k, plan| k.chaos = Some(plan))),
@@ -145,9 +151,12 @@ impl Kind {
 
     /// The value column of the knob table.
     fn describe(self) -> String {
-        let range = |min, max| match (min, max) {
+        let range = |min, max: u64| match (min, max) {
             (0, u64::MAX) => String::new(),
             (min, u64::MAX) => format!(" >= {min}"),
+            (min, max) if max > 1 << 32 && max.is_power_of_two() => {
+                format!(" {min}..=2^{}", max.trailing_zeros())
+            }
             (min, max) => format!(" {min}..={max}"),
         };
         match self {
@@ -277,7 +286,11 @@ mod tests {
             ("CMPSIM_MEASURE", "600000", measure(600_000)),
             ("CMPSIM_MEASURE", " 42\n", measure(42)),
             ("CMPSIM_MEASURE", "0", Err("outside 1..=")),
-            ("CMPSIM_MEASURE", "18446744073709551615", measure(u64::MAX)),
+            ("CMPSIM_MEASURE", "4611686018427387904", measure(MAX_INSTRUCTIONS)),
+            // Past the bound the engine's quota arithmetic wrapped.
+            ("CMPSIM_MEASURE", "4611686018427387905", Err("outside 1..=4611686018427387904")),
+            ("CMPSIM_MEASURE", "18446744073709551615", Err("outside 1..=4611686018427387904")),
+            ("CMPSIM_WARMUP", "18446744073709551615", Err("outside 0..=4611686018427387904")),
             ("CMPSIM_MEASURE", "", unset()),
             ("CMPSIM_THREADS", "   \t", unset()),
             ("CMPSIM_MEASURE", "600k", Err("not a whole number")),

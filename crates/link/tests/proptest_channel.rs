@@ -10,7 +10,7 @@ fn arbitrary_message(kind: u8, addr: u64, segs: u8) -> Message {
     let a = BlockAddr(addr);
     let s = segs % 8 + 1;
     match kind % 3 {
-        0 => Message::read_request(a, kind % 2 == 0),
+        0 => Message::read_request(a, kind.is_multiple_of(2)),
         1 => Message::data_response(a, s, kind % 2 == 1),
         _ => Message::writeback(a, s),
     }

@@ -42,7 +42,7 @@ impl LineClass {
                     let h = hash64(addr_hash, i as u64);
                     // Values in [-64, 191]: Signed8 territory with
                     // occasional zeros.
-                    let v = if h % 5 == 0 { 0i32 } else { ((h >> 8) % 256) as i32 - 64 };
+                    let v = if h.is_multiple_of(5) { 0i32 } else { ((h >> 8) % 256) as i32 - 64 };
                     chunk.copy_from_slice(&(v as u32).to_le_bytes());
                 }
             }
@@ -52,7 +52,7 @@ impl LineClass {
                     // Heap pointers below 4 GB, 8-byte aligned: the high
                     // word is zero (FPC zero-run), the low word is mostly
                     // entropy.
-                    let ptr: u64 = (h & 0xFFFF_FFF8) as u64;
+                    let ptr: u64 = h & 0xFFFF_FFF8;
                     chunk.copy_from_slice(&ptr.to_le_bytes());
                 }
             }

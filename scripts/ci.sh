@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
-# Tier-1 CI: build + test the whole workspace fully offline, then verify
-# no crate manifest has reintroduced a registry dependency.
+# Tier-1 CI: build, lint and test the whole workspace fully offline, then
+# verify no crate manifest has reintroduced a registry dependency.
 #
 # The workspace is hermetic by construction — every dependency is a
 # path dependency on a sibling crate, and the test harness lives in
@@ -12,6 +12,10 @@ cd "$(dirname "$0")/.."
 
 echo "== tier-1: offline build =="
 cargo build --release --offline
+
+echo "== lint: clippy over every target, warnings are errors =="
+# Fix a new warning at its site rather than silencing it.
+cargo clippy --workspace --all-targets --offline -- -D warnings
 
 echo "== tier-1: offline tests (whole workspace) =="
 cargo test -q --offline --workspace
