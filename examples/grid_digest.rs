@@ -21,6 +21,12 @@
 //! variants, under FPC (`tests/golden/grid_digest_variants.txt`). It is
 //! the only gate on the §3 adaptive throttle.
 //!
+//! A fifth golden runs the headline grid on a machine with 8 KiB L1s and
+//! a 64 KiB L2 (`tests/golden/grid_digest_small.txt`). Its sets are
+//! touched so often that the tag stores' per-set LRU ranks run out and
+//! renumber thousands of times, in the 4-way L1s, the classic 8-way L2
+//! and the VSC alike; at the paper's sizes a smoke grid never gets there.
+//!
 //! Only fields that existed in the seed `RunResult` participate, so the
 //! digest stays comparable across PRs that add host-side measurement
 //! fields (wall-clock, dispatched-event counts). The `f64` field is
@@ -110,6 +116,11 @@ fn main() {
         t0.elapsed().as_secs_f64()
     );
     let mut ok = gate("fpc grid", &fpc_digest, GOLDEN_PATH, record);
+
+    let small = SystemConfig { l1_bytes: 8 * 1024, l2_bytes: 64 * 1024, ..base.clone() };
+    let (digest, cells) = digest_grid(&small, &VARIANTS, len);
+    println!("small-cache grid digest: {digest}  ({cells} cells)");
+    ok &= gate("small-cache grid", &digest, "tests/golden/grid_digest_small.txt", record);
 
     let (digest, cells) = digest_grid(&base, &OTHER_VARIANTS, len);
     println!("variants grid digest: {digest}  ({cells} cells)");
