@@ -24,6 +24,7 @@
 mod adaptive;
 mod block;
 mod meta;
+mod rank;
 mod set_assoc;
 mod stats;
 mod vsc;

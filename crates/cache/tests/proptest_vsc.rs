@@ -3,7 +3,7 @@
 //! segment accounting never exceeds capacity, no duplicate residents,
 //! model agreement, clean invalidation).
 
-use cmpsim_cache::{BlockAddr, VscCache, VscConfig, VscLookup};
+use cmpsim_cache::{BlockAddr, VscCache, VscConfig, VscEvicted, VscLookup};
 use cmpsim_harness::{gen, prop::check, prop_assert, prop_assert_eq};
 use std::collections::HashMap;
 
@@ -175,6 +175,141 @@ fn occupancy_counters_match_a_full_scan() {
             prop_assert_eq!(c.used_segments_total(), used);
             prop_assert_eq!(c.effective_capacity_ratio().to_bits(), ratio.to_bits());
             prop_assert_eq!(c.check_invariants(), Ok(()));
+        }
+        Ok(())
+    });
+}
+
+/// One VSC tag in the model: the fields of the tag store, with a u64
+/// clock stamp for the LRU order (0: never allocated).
+#[derive(Clone, Copy, Default)]
+struct ModelTag {
+    addr: u64,
+    stamp: u64,
+    allocated: bool,
+    has_data: bool,
+    prefetch: bool,
+    segments: u8,
+    meta: u64,
+}
+
+/// One VSC set, written from the replacement rules with clock stamps:
+/// a fill evicts the least recently used data lines (other than its own)
+/// until its size fits, then takes the first unallocated tag, else the
+/// LRU dataless tag, else the LRU tag, whose line it evicts. Ties on a
+/// stamp go to the lower tag.
+struct ModelVscSet {
+    tags: Vec<ModelTag>,
+    segments: u32,
+    clock: u64,
+}
+
+impl ModelVscSet {
+    fn new(tags: usize, segments: u32) -> Self {
+        ModelVscSet { tags: vec![ModelTag::default(); tags], segments, clock: 0 }
+    }
+
+    fn find(&self, addr: BlockAddr) -> Option<usize> {
+        self.tags.iter().position(|t| t.allocated && t.addr == addr.0)
+    }
+
+    /// The LRU tag among those `eligible` accepts.
+    fn lru(&self, eligible: impl Fn(usize, &ModelTag) -> bool) -> Option<usize> {
+        (0..self.tags.len())
+            .filter(|&i| eligible(i, &self.tags[i]))
+            .min_by_key(|&i| (self.tags[i].stamp, i))
+    }
+
+    fn drop_data(&mut self, i: usize) -> VscEvicted<u64> {
+        let t = &mut self.tags[i];
+        let evicted = VscEvicted {
+            addr: BlockAddr(t.addr),
+            segments: t.segments,
+            was_unused_prefetch: t.prefetch,
+            meta: t.meta,
+        };
+        (t.has_data, t.prefetch, t.segments, t.meta) = (false, false, 0, 0);
+        evicted
+    }
+
+    fn lookup(&mut self, addr: BlockAddr) -> VscLookup {
+        let Some(i) = self.find(addr) else { return VscLookup::Miss };
+        if !self.tags[i].has_data {
+            return VscLookup::VictimTagHit;
+        }
+        let mine = self.tags[i].stamp;
+        let lru_depth = self.tags.iter().filter(|t| t.has_data && t.stamp > mine).count();
+        self.clock += 1;
+        let t = &mut self.tags[i];
+        t.stamp = self.clock;
+        let prefetch_first_touch = std::mem::take(&mut t.prefetch);
+        VscLookup::Hit { compressed: t.segments < 8, lru_depth, prefetch_first_touch }
+    }
+
+    fn fill(&mut self, addr: BlockAddr, segments: u8, prefetched: bool, meta: u64) -> Vec<VscEvicted<u64>> {
+        let mut evicted = Vec::new();
+        let existing = self.find(addr);
+        let had_data = existing.is_some_and(|i| self.tags[i].has_data);
+        let mine = existing.map_or(0, |i| u32::from(self.tags[i].segments));
+        let used = |m: &Self| m.tags.iter().map(|t| u32::from(t.segments)).sum::<u32>();
+        while used(self) - mine + u32::from(segments) > self.segments {
+            let victim = self.lru(|i, t| t.has_data && Some(i) != existing).unwrap();
+            evicted.push(self.drop_data(victim));
+        }
+        let slot = existing
+            .or_else(|| self.tags.iter().position(|t| !t.allocated))
+            .or_else(|| self.lru(|_, t| !t.has_data))
+            .unwrap_or_else(|| {
+                let i = self.lru(|_, _| true).unwrap();
+                evicted.push(self.drop_data(i));
+                i
+            });
+        self.clock += 1;
+        let t = &mut self.tags[slot];
+        let prefetch = if had_data { prefetched && t.prefetch } else { prefetched };
+        *t = ModelTag {
+            addr: addr.0,
+            stamp: self.clock,
+            allocated: true,
+            has_data: true,
+            prefetch,
+            segments,
+            meta,
+        };
+        evicted
+    }
+
+    fn invalidate(&mut self, addr: BlockAddr) -> Option<(u64, u8)> {
+        let i = self.find(addr).filter(|&i| self.tags[i].has_data)?;
+        let e = self.drop_data(i);
+        Some((e.meta, e.segments))
+    }
+}
+
+/// Every lookup outcome (hit, compressed, LRU depth, first touch, victim
+/// tag), every fill's evictions and every invalidation of one 8-tag,
+/// 32-segment set follow the stamp model, over streams long enough that
+/// the set's LRU ranks renumber. Kinds: 0 lookup, 1 demand fill,
+/// 2 prefetch fill, 3 invalidate.
+#[test]
+fn one_set_follows_the_stamp_model() {
+    let op = gen::triple(gen::u32s(0..=3), gen::u64s(0..24), gen::u8s(1..=8));
+    check("one_set_follows_the_stamp_model", &gen::vec_of(op, 600..3_000), |ops| {
+        let mut c: VscCache<u64> = VscCache::new(VscConfig {
+            sets: 1, tags_per_set: TAGS, segments_per_set: SEGMENTS, line_segments: 8,
+        });
+        let mut model = ModelVscSet::new(TAGS, SEGMENTS);
+        for (step, &(kind, line, segs)) in ops.iter().enumerate() {
+            let addr = BlockAddr(line);
+            match kind {
+                0 => prop_assert_eq!(c.lookup(addr), model.lookup(addr), "lookup at step {step}"),
+                1 | 2 => {
+                    let got: Vec<_> = c.fill(addr, segs, kind == 2, step as u64).collect();
+                    let want = model.fill(addr, segs, kind == 2, step as u64);
+                    prop_assert_eq!(got, want, "fill at step {step}");
+                }
+                _ => prop_assert_eq!(c.invalidate(addr), model.invalidate(addr), "step {step}"),
+            }
         }
         Ok(())
     });
