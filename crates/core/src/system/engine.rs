@@ -1500,13 +1500,22 @@ impl System {
             }
         }
         if e.dir.is_dirty() {
-            self.write_back(e.addr);
+            self.write_back(e.addr, e.segments);
         }
     }
 
-    /// Writes a dirty line back to memory over the link.
-    fn write_back(&mut self, addr: BlockAddr) {
-        let seg = self.link_segments(addr);
+    /// Writes a dirty line back to memory over the link. `stored` is the
+    /// line's stored size in segments, [`MAX_SEGMENTS`] if it was stored
+    /// uncompressed or is unknown. A smaller count is the codec's size
+    /// of the line (`store_segments` stores nothing else), so the link
+    /// reuses it and the codec runs only for a line stored whole.
+    fn write_back(&mut self, addr: BlockAddr, stored: u8) {
+        let seg = if self.cfg.link_compression && stored < MAX_SEGMENTS {
+            debug_assert_eq!(stored, self.segments_of(addr), "stored size of {addr}");
+            stored
+        } else {
+            self.link_segments(addr)
+        };
         let msg = Message::writeback(addr, seg);
         self.link.send(self.now, &msg);
         self.trace_event(TraceKind::LinkFlit, 0, 2, msg.size_bytes() as u32, addr.0);
@@ -1712,7 +1721,7 @@ impl System {
                 // victim goes straight to memory.
                 None => {
                     if v.meta == MsiState::Modified {
-                        self.write_back(v.addr);
+                        self.write_back(v.addr, MAX_SEGMENTS);
                     }
                 }
             }

@@ -31,6 +31,9 @@ pub struct EvictedL2 {
     pub dir: DirEntry,
     /// Prefetch bit still set (useless prefetch).
     pub was_unused_prefetch: bool,
+    /// Segments the line was stored in ([`MAX_SEGMENTS`] in the classic
+    /// cache).
+    pub segments: u8,
 }
 
 /// The shared L2 in either organization.
@@ -152,12 +155,20 @@ impl L2Cache {
         evicted: &mut Vec<EvictedL2>,
     ) {
         match self {
-            L2Cache::Classic(c) => evicted.extend(c.fill(addr, prefetched, dir).map(|v| {
-                EvictedL2 { addr: v.addr, dir: v.meta, was_unused_prefetch: v.was_unused_prefetch }
+            L2Cache::Classic(c) => evicted.extend(c.fill(addr, prefetched, dir).map(|v| EvictedL2 {
+                addr: v.addr,
+                dir: v.meta,
+                was_unused_prefetch: v.was_unused_prefetch,
+                segments: MAX_SEGMENTS,
             })),
-            L2Cache::Vsc(c) => evicted.extend(c.fill(addr, segments, prefetched, dir).map(|v| {
-                EvictedL2 { addr: v.addr, dir: v.meta, was_unused_prefetch: v.was_unused_prefetch }
-            })),
+            L2Cache::Vsc(c) => {
+                evicted.extend(c.fill(addr, segments, prefetched, dir).map(|v| EvictedL2 {
+                    addr: v.addr,
+                    dir: v.meta,
+                    was_unused_prefetch: v.was_unused_prefetch,
+                    segments: v.segments,
+                }))
+            }
         }
     }
 
