@@ -57,6 +57,9 @@ pub fn seal(mut body: String) -> String {
 }
 
 /// Verifies and strips a record's trailing checksum, returning the body.
+/// The crc must be written as [`seal`] writes it, exactly 8 lower-case
+/// hex digits, so a line verifies only if it is byte for byte the seal
+/// of its body.
 ///
 /// # Errors
 ///
@@ -66,15 +69,25 @@ pub fn check_seal(line: &str) -> Result<&str, String> {
     let pos = line
         .rfind(",\"crc\":\"")
         .ok_or_else(|| "missing crc field".to_string())?;
-    let tail = &line[pos + 8..];
-    let hex = tail.strip_suffix("\"}").ok_or_else(|| "malformed crc field".to_string())?;
-    let recorded =
-        u32::from_str_radix(hex, 16).map_err(|_| "malformed crc field".to_string())?;
+    let recorded = line[pos + 8..]
+        .strip_suffix("\"}")
+        .filter(|hex| hex.len() == 8)
+        .and_then(|hex| hex.bytes().try_fold(0u32, |crc, b| Some(crc << 4 | lower_hex(b)?)))
+        .ok_or_else(|| "malformed crc field".to_string())?;
     let actual = fnv32(&line.as_bytes()[..pos]);
     if actual != recorded {
         return Err(format!("crc mismatch (recorded {recorded:08x}, computed {actual:08x})"));
     }
     Ok(&line[..pos])
+}
+
+/// The value of a lower-case hex digit, the only digits [`seal`] writes.
+fn lower_hex(b: u8) -> Option<u32> {
+    match b {
+        b'0'..=b'9' => Some(u32::from(b - b'0')),
+        b'a'..=b'f' => Some(u32::from(b - b'a' + 10)),
+        _ => None,
+    }
 }
 
 /// Verifies a sealed line ([`check_seal`]) and parses its fields,
@@ -198,24 +211,42 @@ mod tests {
     }
 
     /// Each byte of both lines replaced by each byte of a JSON-significant
-    /// alphabet. FNV-1a changes with any one byte, so a substituted sealed
-    /// record unseals only when the change leaves its fields alone (a hex
-    /// digit of the crc changing case).
+    /// alphabet, with every hex digit in both cases and a sign. FNV-1a
+    /// changes with any one byte and the crc has one spelling, so a line
+    /// unseals only if it is byte for byte the seal of its body: a
+    /// substituted record only when the substitution left it unchanged.
     #[test]
     fn single_byte_substitutions_never_unseal_different_fields() {
         let record = store_record();
         let fields = unseal(&record).unwrap();
         for full in [record, REQUEST.to_string()] {
             for at in 0..full.len() {
-                for &b in b"{}\":,\\ -.0159aAfFx\x00\x7f" {
+                for &b in b"{}\":,\\ -+.0159aAbBcCdDeEfFx\x00\x7f" {
                     let mut bytes = full.clone().into_bytes();
                     bytes[at] = b;
                     let line = String::from_utf8(bytes).unwrap();
                     if let (_, Ok(got)) = read_all(&line) {
+                        let body = check_seal(&line).unwrap();
+                        assert_eq!(seal(body.to_string()), line);
                         assert_eq!(got, fields, "{line}");
                     }
                 }
             }
+        }
+    }
+
+    /// Spellings of a correct crc that `seal` never writes: upper-case
+    /// digits, a `+` for a leading zero, and a leading zero left out.
+    #[test]
+    fn only_the_crc_seal_writes_verifies() {
+        assert_eq!(seal("{\"k\":1".to_string()), "{\"k\":1,\"crc\":\"81e96db0\"}");
+        assert_eq!(seal("{\"k\":10".to_string()), "{\"k\":10,\"crc\":\"02776080\"}");
+        for line in [
+            "{\"k\":1,\"crc\":\"81E96DB0\"}",
+            "{\"k\":10,\"crc\":\"+2776080\"}",
+            "{\"k\":10,\"crc\":\"2776080\"}",
+        ] {
+            assert_eq!(check_seal(line), Err("malformed crc field".to_string()), "{line}");
         }
     }
 
